@@ -20,8 +20,10 @@
 // wheel and heap calendars (legacy polling only up to kLegacySweepCap
 // machines — it is O(machines) per event) and gates on the wheel staying
 // memory-flat: ns/event at 65,536 machines must be <= 2x its value at
-// 1,024. PSC_BENCH_MAX_MACHINES (or --max-machines) caps the sweep for
-// CI boxes.
+// 1,024. Each sweep cell also times assembly (add_timed_system, min of
+// repeats, reported per machine) and gates it linear: the largest cell
+// may cost at most 6x the cell with 4x fewer machines.
+// PSC_BENCH_MAX_MACHINES (or --max-machines) caps the sweep for CI boxes.
 //
 // `--json PATH` writes the rows as JSONL for cross-PR perf diffing
 // (BENCH_executor.json); `--smoke` shrinks the sweep for CI.
@@ -85,7 +87,12 @@ int flood_waves(int n, int target_events) {
   return std::max(1, (target_events - 1 + per_wave - 1) / per_wave);
 }
 
-std::unique_ptr<Executor> build_flood(int n, SchedArm arm, int target_events) {
+// `assemble_ns`, when given, receives the thread CPU time of
+// add_timed_system (every add() through the closing hide()s) — the
+// assembly span the sweep gates on scaling linearly. CPU time, not wall:
+// preemption on a shared box would otherwise swamp these short spans.
+std::unique_ptr<Executor> build_flood(int n, SchedArm arm, int target_events,
+                                      double* assemble_ns = nullptr) {
   const int waves = flood_waves(n, target_events);
   // Generous horizon: a wave over a 512k ring takes ~65 simulated seconds
   // (one [d1,d2] hop per node); small cells quiesce long before this, so
@@ -105,10 +112,14 @@ std::unique_ptr<Executor> build_flood(int n, SchedArm arm, int target_events) {
   cc.d1 = microseconds(50);
   cc.d2 = microseconds(200);
   cc.seed = kSeed;
-  add_timed_system(*exec, g, cc,
-                   make_flood_nodes(g, /*source=*/0, 0xf100d,
-                                    /*hops_bound=*/g.n, cc.d2, 1, waves,
-                                    /*wave_gap=*/cc.d2));
+  auto nodes = make_flood_nodes(g, /*source=*/0, 0xf100d,
+                                /*hops_bound=*/g.n, cc.d2, 1, waves,
+                                /*wave_gap=*/cc.d2);
+  const std::uint64_t t0 = Profiler::thread_cpu_ns();
+  add_timed_system(*exec, g, cc, std::move(nodes));
+  if (assemble_ns != nullptr) {
+    *assemble_ns = static_cast<double>(Profiler::thread_cpu_ns() - t0);
+  }
   return exec;
 }
 
@@ -141,6 +152,7 @@ std::unique_ptr<Executor> build_queue(int n, SchedArm arm) {
 
 struct Arm {
   double ns_per_event = 0;
+  double assemble_ns = 0;  // flood only: add_timed_system thread CPU time
   std::size_t events = 0;
   std::size_t machines = 0;
   Duration min_slack = kTimeMax;  // PSC_OBS arm only
@@ -165,8 +177,9 @@ Arm measure_once(const std::string& workload, int n, SchedArm sched,
                  const ProfOptions* prof = nullptr,
                  const BoundCertOptions* cert = nullptr) {
   Arm arm;
-  auto exec = workload == "flood" ? build_flood(n, sched, target_events)
-                                  : build_queue(n, sched);
+  auto exec = workload == "flood"
+                  ? build_flood(n, sched, target_events, &arm.assemble_ns)
+                  : build_queue(n, sched);
   std::unique_ptr<InvariantProbe> probe;
   if (lint != nullptr) {
     probe = std::make_unique<InvariantProbe>(*lint);
@@ -254,15 +267,19 @@ Arm measure_once(const std::string& workload, int n, SchedArm sched,
   return arm;
 }
 
-// Folds one repeat into the aggregate: keep the fastest ns/event (external
-// load only ever adds time, so min-of-repeats is the robust estimator on a
-// shared box), latest counters otherwise (deterministic across repeats).
+// Folds one repeat into the aggregate: keep the fastest ns/event and
+// assembly time (external load only ever adds time, so min-of-repeats is
+// the robust estimator on a shared box), latest counters otherwise
+// (deterministic across repeats).
 void fold(Arm& agg, const Arm& once) {
-  const double best = agg.events == 0
-                          ? once.ns_per_event
-                          : std::min(agg.ns_per_event, once.ns_per_event);
+  const bool first = agg.events == 0;
+  const double best =
+      first ? once.ns_per_event : std::min(agg.ns_per_event, once.ns_per_event);
+  const double best_assemble =
+      first ? once.assemble_ns : std::min(agg.assemble_ns, once.assemble_ns);
   agg = once;
   agg.ns_per_event = best;
+  agg.assemble_ns = best_assemble;
 }
 
 // A single run of a small cell (a few thousand events, a few hundred
@@ -464,6 +481,10 @@ struct SweepRow {
   std::size_t events = 0;
   double sched_ns = 0;   // wheel calendar (the default scheduler)
   double heap_ns = 0;    // heap calendar (ExecutorOptions::heap_calendar)
+  // Assembly (add_timed_system through hide()), min over the wheel and
+  // heap arms' repeats (the two build identical systems) and
+  // kExtraAssembleSamples assembly-only builds.
+  double assemble_ns = 0;
   double legacy_ns = 0;  // 0 when the arm was skipped (too many machines)
   // PSC_FLIGHT=1 arm: wheel calendar with the flight recorder on the
   // record path. 0 when the arm did not run.
@@ -505,6 +526,10 @@ struct SweepRow {
   double lint_ab = 0;        // lint-arm ns/event / baseline min - 1
   double lint_direct = 0;    // prof (kRecord + kLint) ns/event / baseline
 };
+
+// Assembly-only builds per sweep cell on top of the wheel and heap arms'
+// repeats (see run_sweep_cell).
+constexpr int kExtraAssembleSamples = 4;
 
 SweepRow run_sweep_cell(int n, int repeats, int target_events,
                         bool flight_arm, bool prof_arm) {
@@ -563,6 +588,14 @@ SweepRow run_sweep_cell(int n, int repeats, int target_events,
   row.events = wheel.events;
   row.sched_ns = wheel.ns_per_event;
   row.heap_ns = heap.ns_per_event;
+  // Assembly alone (no run) is cheap next to a timed arm, so a few extra
+  // builds steady the min the linear-assembly gate divides.
+  row.assemble_ns = std::min(wheel.assemble_ns, heap.assemble_ns);
+  for (int r = 0; r < kExtraAssembleSamples; ++r) {
+    double ns = 0;
+    build_flood(n, kWheelArm, cell_target, &ns);
+    row.assemble_ns = std::min(row.assemble_ns, ns);
+  }
   if (flight_arm) {
     row.flight_ns = flight.ns_per_event;
     row.flight_overhead = flight.ns_per_event / wheel.ns_per_event - 1.0;
@@ -650,7 +683,9 @@ SweepRow run_sweep_cell(int n, int repeats, int target_events,
               ": legacy polling executes the same event count");
     row.legacy_ns = legacy.ns_per_event;
   }
-  std::printf("  %8d %9zu %9zu %14.1f %14.1f", n, row.machines, row.events,
+  std::printf("  %8d %9zu %9zu %12.1f %14.1f %14.1f", n, row.machines,
+              row.events,
+              row.assemble_ns / static_cast<double>(row.machines),
               row.sched_ns, row.heap_ns);
   if (row.legacy_ns > 0) {
     std::printf(" %14.1f", row.legacy_ns);
@@ -700,8 +735,10 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
   for (const SweepRow& r : sweep) {
     os << "{\"bench\":\"bench_executor\",\"workload\":\"flood_sweep\","
        << "\"nodes\":" << r.nodes << ",\"machines\":" << r.machines
-       << ",\"events\":" << r.events << ",\"sched_ns_per_event\":"
-       << r.sched_ns << ",\"heap_ns_per_event\":" << r.heap_ns;
+       << ",\"events\":" << r.events << ",\"assemble_ns_per_machine\":"
+       << r.assemble_ns / static_cast<double>(r.machines)
+       << ",\"sched_ns_per_event\":" << r.sched_ns
+       << ",\"heap_ns_per_event\":" << r.heap_ns;
     if (r.legacy_ns > 0) os << ",\"legacy_ns_per_event\":" << r.legacy_ns;
     if (r.flight_ns > 0) {
       os << ",\"flight_ns_per_event\":" << r.flight_ns
@@ -840,7 +877,8 @@ int main(int argc, char** argv) {
   note("min-of-" + std::to_string(repeats) +
        " ns/event, probe overheads = median within-repeat ratio (arms "
        "interleaved per repeat; the sweep's flight arm uses the min-ratio), "
-       "fixed seed, run() only (assembly excluded)");
+       "fixed seed; ns/event times run() alone, the sweep times assembly "
+       "separately");
   std::printf("  %-6s %5s %9s %8s %14s %14s %9s %6s %6s", "work", "n",
               "machines", "events", "legacy ns/ev", "sched ns/ev", "speedup",
               "fast", "cache");
@@ -944,9 +982,9 @@ int main(int argc, char** argv) {
            "events-per-machine budget per cell; legacy polling capped at " +
            std::to_string(kLegacySweepCap) +
            " machines; cap via PSC_BENCH_MAX_MACHINES / --max-machines");
-      std::printf("  %8s %9s %9s %14s %14s %14s %10s %10s", "n",
-                  "machines", "events", "wheel ns/ev", "heap ns/ev",
-                  "legacy ns/ev", "cascades", "stale");
+      std::printf("  %8s %9s %9s %12s %14s %14s %14s %10s %10s", "n",
+                  "machines", "events", "asm ns/mach", "wheel ns/ev",
+                  "heap ns/ev", "legacy ns/ev", "cascades", "stale");
       if (flight_arm) std::printf(" %13s %8s", "flight ns/ev", "fly ovh");
       if (prof_arm) std::printf(" %11s %8s", "prof ns/ev", "prof ovh");
       std::printf("\n");
@@ -975,6 +1013,21 @@ int main(int argc, char** argv) {
                 "sweep: wheel ns/event at 65536 machines (" +
                     std::to_string(big->sched_ns) + ") <= 2x its value at "
                     "1024 machines (" + std::to_string(base->sched_ns) + ")");
+        }
+        // The linear-assembly gate: building the largest cell costs at most
+        // 6x building the cell with 4x fewer machines. Linear assembly is
+        // 4x; an O(machines) pass per add() (the routing-memo reset that
+        // once lived in Executor::add) measured ~12x at 65,536 vs 16,384
+        // machines. Sweep cells step 4x in n, so the two largest qualify.
+        if (sweep.size() >= 2) {
+          const SweepRow& hi = sweep.back();
+          const SweepRow& lo = sweep[sweep.size() - 2];
+          const double ratio = hi.assemble_ns / lo.assemble_ns;
+          shape(hi.machines == 4 * lo.machines && ratio <= 6.0,
+                "sweep: assembly at " + std::to_string(hi.machines) +
+                    " machines is " + std::to_string(ratio) + "x its cost at " +
+                    std::to_string(lo.machines) + " machines (<= 6x; linear "
+                    "is 4x)");
         }
         // The flight-recorder acceptance bar. The issue's design target was
         // < 3% over the bare wheel, but that is below the measured cost of

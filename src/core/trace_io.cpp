@@ -5,6 +5,7 @@
 #include <string_view>
 
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 namespace psc {
 
@@ -63,6 +64,23 @@ std::string unescape(const std::string& s) {
   return out;
 }
 
+// Feeds each non-blank line of `is` to parse_line, numbering lines from
+// `line_no`; a CheckError from any line is rethrown naming that line.
+template <class F>
+TimedTrace for_each_line(std::istream& is, int line_no, F parse_line) {
+  TimedTrace out;
+  std::string line;
+  for (; std::getline(is, line); ++line_no) {
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    try {
+      out.push_back(parse_line(line));
+    } catch (const CheckError& e) {
+      throw CheckError("line " + std::to_string(line_no) + ": " + e.what());
+    }
+  }
+  return out;
+}
+
 void write_value(std::ostream& os, const Value& v) {
   std::visit(
       [&](const auto& x) {
@@ -87,9 +105,9 @@ Value parse_value(const std::string& tok) {
     case 'u':
       return Value{};
     case 'a':
-      return Value{static_cast<std::int64_t>(std::stoll(body))};
+      return Value{parse_number<std::int64_t>(body, "integer value")};
     case 'f':
-      return Value{std::stod(body)};
+      return Value{parse_number<double>(body, "float value")};
     case 's':
       return Value{unescape(body)};
     default:
@@ -150,60 +168,67 @@ std::string trace_to_text(const TimedTrace& trace) {
   return os.str();
 }
 
-TimedTrace read_trace(std::istream& is) {
-  TimedTrace out;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    TimedEvent e;
-    std::string tok;
-    ls >> tok;
-    e.time = std::stoll(tok);
-    ls >> tok;
-    e.clock = tok == "-" ? kNoClockTag : std::stoll(tok);
-    ls >> tok;
-    e.owner = tok == "-" ? -1 : std::stoi(tok);
-    ls >> tok;
-    PSC_CHECK(tok == "V" || tok == "H", "bad visibility " << tok);
-    e.visible = tok == "V";
-    ls >> tok;
-    e.action.name = unescape(tok);
-    ls >> tok;
-    e.action.node = tok == "-" ? kNoNode : std::stoi(tok);
-    ls >> tok;
-    e.action.peer = tok == "-" ? kNoNode : std::stoi(tok);
-    while (ls >> tok) {
-      if (tok.rfind("m:", 0) == 0) {
-        // m:<kind>:<uid>:<tag|->[:field...]
-        std::vector<std::string> parts;
-        std::string cur;
-        // escape() replaced every literal ':' with "\\;", so every ':'
-        // remaining in the token is a separator.
-        for (std::size_t i = 2; i <= tok.size(); ++i) {
-          if (i == tok.size() || tok[i] == ':') {
-            parts.push_back(cur);
-            cur.clear();
-          } else {
-            cur += tok[i];
-          }
+namespace {
+
+TimedEvent parse_text_event(const std::string& line) {
+  std::istringstream ls(line);
+  std::string tok;
+  const auto next = [&](const char* field) -> const std::string& {
+    PSC_CHECK(static_cast<bool>(ls >> tok), "missing " << field);
+    return tok;
+  };
+  TimedEvent e;
+  e.time = parse_number<std::int64_t>(next("time"), "time");
+  next("clock");
+  e.clock =
+      tok == "-" ? kNoClockTag : parse_number<std::int64_t>(tok, "clock");
+  next("owner");
+  e.owner = tok == "-" ? -1 : parse_number<int>(tok, "owner");
+  next("visibility");
+  PSC_CHECK(tok == "V" || tok == "H", "bad visibility " << tok);
+  e.visible = tok == "V";
+  e.action.name = unescape(next("action name"));
+  next("node");
+  e.action.node = tok == "-" ? kNoNode : parse_number<int>(tok, "node");
+  next("peer");
+  e.action.peer = tok == "-" ? kNoNode : parse_number<int>(tok, "peer");
+  while (ls >> tok) {
+    if (tok.rfind("m:", 0) == 0) {
+      // m:<kind>:<uid>:<tag|->[:field...]
+      std::vector<std::string> parts;
+      std::string cur;
+      // escape() replaced every literal ':' with "\\;", so every ':'
+      // remaining in the token is a separator.
+      for (std::size_t i = 2; i <= tok.size(); ++i) {
+        if (i == tok.size() || tok[i] == ':') {
+          parts.push_back(cur);
+          cur.clear();
+        } else {
+          cur += tok[i];
         }
-        PSC_CHECK(parts.size() >= 3, "bad message token " << tok);
-        Message m;
-        m.kind = unescape(parts[0]);
-        m.uid = std::stoull(parts[1]);
-        m.clock_tag = parts[2] == "-" ? kNoClockTag : std::stoll(parts[2]);
-        for (std::size_t k = 3; k < parts.size(); ++k) {
-          m.fields.push_back(parse_value(unescape(parts[k])));
-        }
-        e.action.msg = std::move(m);
-      } else {
-        e.action.args.push_back(parse_value(tok));
       }
+      PSC_CHECK(parts.size() >= 3, "bad message token " << tok);
+      Message m;
+      m.kind = unescape(parts[0]);
+      m.uid = parse_number<std::uint64_t>(parts[1], "message uid");
+      m.clock_tag = parts[2] == "-" ? kNoClockTag
+                                    : parse_number<std::int64_t>(
+                                          parts[2], "message tag");
+      for (std::size_t k = 3; k < parts.size(); ++k) {
+        m.fields.push_back(parse_value(unescape(parts[k])));
+      }
+      e.action.msg = std::move(m);
+    } else {
+      e.action.args.push_back(parse_value(tok));
     }
-    out.push_back(std::move(e));
   }
-  return out;
+  return e;
+}
+
+}  // namespace
+
+TimedTrace read_trace(std::istream& is) {
+  return for_each_line(is, 1, parse_text_event);
 }
 
 TimedTrace trace_from_text(const std::string& text) {
@@ -357,9 +382,10 @@ struct JsonCursor {
       ++p;
     }
     PSC_CHECK(p != start, "trace JSONL: expected a number");
-    const std::string tok(start, p);
-    if (is_float) return Value{std::stod(tok)};
-    return Value{static_cast<std::int64_t>(std::stoll(tok))};
+    const std::string_view tok(start, static_cast<std::size_t>(p - start));
+    // Qualified: the member parse_number() hides the free template.
+    if (is_float) return Value{psc::parse_number<double>(tok, "number")};
+    return Value{psc::parse_number<std::int64_t>(tok, "integer")};
   }
   std::int64_t parse_int() {
     const Value v = parse_number();
@@ -448,88 +474,93 @@ void write_trace_jsonl(std::ostream& os, const TimedTrace& trace) {
   }
 }
 
-TimedTrace read_trace_jsonl(std::istream& is) {
-  TimedTrace out;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    JsonCursor c{line.data(), line.data() + line.size()};
-    TimedEvent e;
-    c.expect('{');
-    bool first = true;
-    while (!c.eat('}')) {
-      if (!first) c.expect(',');
-      first = false;
-      const std::string key = c.parse_string();
-      c.expect(':');
-      if (key == "time") {
-        e.time = c.parse_int();
-      } else if (key == "clock") {
-        e.clock = c.parse_int();
-      } else if (key == "owner") {
-        e.owner = static_cast<int>(c.parse_int());
-      } else if (key == "visible") {
-        e.visible = c.parse_bool();
-      } else if (key == "name") {
-        e.action.name = c.parse_string();
-      } else if (key == "node") {
-        e.action.node = static_cast<int>(c.parse_int());
-      } else if (key == "peer") {
-        e.action.peer = static_cast<int>(c.parse_int());
-      } else if (key == "args") {
-        c.expect('[');
-        if (!c.eat(']')) {
-          do {
-            e.action.args.push_back(c.parse_tagged_value());
-          } while (c.eat(','));
-          c.expect(']');
-        }
-      } else if (key == "msg") {
-        Message m;
-        c.expect('{');
-        bool mfirst = true;
-        while (!c.eat('}')) {
-          if (!mfirst) c.expect(',');
-          mfirst = false;
-          const std::string mkey = c.parse_string();
-          c.expect(':');
-          if (mkey == "kind") {
-            m.kind = c.parse_string();
-          } else if (mkey == "uid") {
-            m.uid = static_cast<std::uint64_t>(c.parse_int());
-          } else if (mkey == "tag") {
-            m.clock_tag = c.parse_int();
-          } else if (mkey == "fields") {
-            c.expect('[');
-            if (!c.eat(']')) {
-              do {
-                m.fields.push_back(c.parse_tagged_value());
-              } while (c.eat(','));
-              c.expect(']');
-            }
-          } else {
-            PSC_CHECK(false, "trace JSONL: unknown msg key \"" << mkey << '"');
-          }
-        }
-        e.action.msg = std::move(m);
-      } else {
-        PSC_CHECK(false, "trace JSONL: unknown key \"" << key << '"');
+namespace {
+
+TimedEvent parse_jsonl_event(const std::string& line) {
+  JsonCursor c{line.data(), line.data() + line.size()};
+  TimedEvent e;
+  c.expect('{');
+  bool first = true;
+  while (!c.eat('}')) {
+    if (!first) c.expect(',');
+    first = false;
+    const std::string key = c.parse_string();
+    c.expect(':');
+    if (key == "time") {
+      e.time = c.parse_int();
+    } else if (key == "clock") {
+      e.clock = c.parse_int();
+    } else if (key == "owner") {
+      e.owner = static_cast<int>(c.parse_int());
+    } else if (key == "visible") {
+      e.visible = c.parse_bool();
+    } else if (key == "name") {
+      e.action.name = c.parse_string();
+    } else if (key == "node") {
+      e.action.node = static_cast<int>(c.parse_int());
+    } else if (key == "peer") {
+      e.action.peer = static_cast<int>(c.parse_int());
+    } else if (key == "args") {
+      c.expect('[');
+      if (!c.eat(']')) {
+        do {
+          e.action.args.push_back(c.parse_tagged_value());
+        } while (c.eat(','));
+        c.expect(']');
       }
+    } else if (key == "msg") {
+      Message m;
+      c.expect('{');
+      bool mfirst = true;
+      while (!c.eat('}')) {
+        if (!mfirst) c.expect(',');
+        mfirst = false;
+        const std::string mkey = c.parse_string();
+        c.expect(':');
+        if (mkey == "kind") {
+          m.kind = c.parse_string();
+        } else if (mkey == "uid") {
+          m.uid = static_cast<std::uint64_t>(c.parse_int());
+        } else if (mkey == "tag") {
+          m.clock_tag = c.parse_int();
+        } else if (mkey == "fields") {
+          c.expect('[');
+          if (!c.eat(']')) {
+            do {
+              m.fields.push_back(c.parse_tagged_value());
+            } while (c.eat(','));
+            c.expect(']');
+          }
+        } else {
+          PSC_CHECK(false, "trace JSONL: unknown msg key \"" << mkey << '"');
+        }
+      }
+      e.action.msg = std::move(m);
+    } else {
+      PSC_CHECK(false, "trace JSONL: unknown key \"" << key << '"');
     }
-    out.push_back(std::move(e));
   }
-  return out;
+  return e;
+}
+
+}  // namespace
+
+TimedTrace read_trace_jsonl(std::istream& is) {
+  return for_each_line(is, 1, parse_jsonl_event);
 }
 
 TimedTrace read_trace_any(std::istream& is) {
-  // Sniff the first non-whitespace byte without consuming it.
+  // Sniff the first non-whitespace byte without consuming it, counting the
+  // newlines skipped so diagnostics still name the file's line numbers.
+  int line_no = 1;
   int ch = is.peek();
   while (ch == ' ' || ch == '\t' || ch == '\n' || ch == '\r') {
+    if (ch == '\n') ++line_no;
     is.get();
     ch = is.peek();
   }
-  if (ch == '{') return read_trace_jsonl(is);
-  return read_trace(is);
+  if (ch == '{') return for_each_line(is, line_no, parse_jsonl_event);
+  return for_each_line(is, line_no, parse_text_event);
 }
 
 }  // namespace psc

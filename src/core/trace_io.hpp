@@ -20,7 +20,9 @@ namespace psc {
 void write_trace(std::ostream& os, const TimedTrace& trace);
 std::string trace_to_text(const TimedTrace& trace);
 
-// Parses what write_trace produced; throws CheckError on malformed input.
+// Parses what write_trace produced; throws CheckError on malformed input
+// (the message starts "line N: ", N counting from 1). Blank lines are
+// skipped.
 TimedTrace read_trace(std::istream& is);
 TimedTrace trace_from_text(const std::string& text);
 
@@ -34,7 +36,7 @@ TimedTrace trace_from_text(const std::string& text);
 void write_trace_jsonl(std::ostream& os, const TimedTrace& trace);
 
 // Parses what write_trace_jsonl produced (a restricted JSON subset; throws
-// CheckError on malformed input).
+// CheckError naming the line on malformed input, as read_trace does).
 TimedTrace read_trace_jsonl(std::istream& is);
 
 // Reads either format, sniffing by the first non-whitespace byte ('{' means

@@ -12,6 +12,7 @@
 #include "obs/instrument.hpp"
 #include "rw/harness.hpp"
 #include "util/check.hpp"
+#include "util/parse.hpp"
 #include "util/stats.hpp"
 
 namespace psc {
@@ -36,9 +37,32 @@ std::vector<std::string> split_list(const std::string& s) {
   return out;
 }
 
-std::vector<Duration> parse_us_list(const std::string& s) {
-  std::vector<Duration> out;
-  for (const auto& v : split_list(s)) out.push_back(microseconds(std::stoll(v)));
+// One value of a config line; a malformed one is a CheckError naming the
+// line and key (parse_number's message carries the bad token).
+template <class T>
+T parse_value(const std::string& v, int lineno, const std::string& key) {
+  try {
+    return parse_number<T>(v, key);
+  } catch (const CheckError& e) {
+    throw CheckError("sweep config line " + std::to_string(lineno) + ": " +
+                     e.what());
+  }
+}
+
+template <class T>
+std::vector<T> parse_list(const std::string& s, int lineno,
+                          const std::string& key) {
+  std::vector<T> out;
+  for (const auto& v : split_list(s)) {
+    out.push_back(parse_value<T>(v, lineno, key));
+  }
+  return out;
+}
+
+std::vector<Duration> parse_us_list(const std::string& s, int lineno,
+                                    const std::string& key) {
+  std::vector<Duration> out = parse_list<std::int64_t>(s, lineno, key);
+  for (Duration& d : out) d = microseconds(d);
   return out;
 }
 
@@ -75,6 +99,7 @@ SweepConfig parse_sweep_config(std::istream& is) {
   SweepConfig cfg;
   std::string line;
   int lineno = 0;
+  bool any_key = false;
   while (std::getline(is, line)) {
     ++lineno;
     const auto hash = line.find('#');
@@ -86,42 +111,45 @@ SweepConfig parse_sweep_config(std::istream& is) {
               "sweep config line " << lineno << ": expected key = value");
     const std::string key = trim(line.substr(0, eq));
     const std::string val = trim(line.substr(eq + 1));
+    any_key = true;
     if (key == "nodes") {
-      cfg.num_nodes = std::stoi(val);
+      cfg.num_nodes = parse_value<int>(val, lineno, key);
     } else if (key == "ops_per_node") {
-      cfg.ops_per_node = std::stoi(val);
+      cfg.ops_per_node = parse_value<int>(val, lineno, key);
     } else if (key == "write_fraction") {
-      cfg.write_fraction = std::stod(val);
+      cfg.write_fraction = parse_value<double>(val, lineno, key);
     } else if (key == "think_max_us") {
-      cfg.think_max = microseconds(std::stoll(val));
+      cfg.think_max = microseconds(parse_value<std::int64_t>(val, lineno, key));
     } else if (key == "horizon_ms") {
-      cfg.horizon = milliseconds(std::stoll(val));
+      cfg.horizon = milliseconds(parse_value<std::int64_t>(val, lineno, key));
     } else if (key == "drift") {
       cfg.drift = val;
     } else if (key == "algos") {
       cfg.algos = split_list(val);
     } else if (key == "eps_us") {
-      cfg.eps = parse_us_list(val);
+      cfg.eps = parse_us_list(val, lineno, key);
     } else if (key == "delta_us") {
-      cfg.delta = parse_us_list(val);
+      cfg.delta = parse_us_list(val, lineno, key);
     } else if (key == "d1_us") {
-      cfg.d1 = parse_us_list(val);
+      cfg.d1 = parse_us_list(val, lineno, key);
     } else if (key == "d2_us") {
-      cfg.d2 = parse_us_list(val);
+      cfg.d2 = parse_us_list(val, lineno, key);
     } else if (key == "c_us") {
-      cfg.c = parse_us_list(val);
+      cfg.c = parse_us_list(val, lineno, key);
     } else if (key == "ell_us") {
-      cfg.ell = parse_us_list(val);
+      cfg.ell = parse_us_list(val, lineno, key);
     } else if (key == "seeds") {
-      cfg.seeds.clear();
-      for (const auto& v : split_list(val)) cfg.seeds.push_back(std::stoull(v));
+      cfg.seeds = parse_list<std::uint64_t>(val, lineno, key);
     } else if (key == "profile") {
-      cfg.profile = std::stoi(val) != 0;
+      cfg.profile = parse_value<int>(val, lineno, key) != 0;
     } else {
       PSC_CHECK(false, "sweep config line " << lineno << ": unknown key '"
                                             << key << "'");
     }
   }
+  // An empty (or all-comment) file is almost always a wrong path; running
+  // the default grid would report success on a sweep nobody asked for.
+  PSC_CHECK(any_key, "sweep config sets no keys (empty file?)");
   PSC_CHECK(!cfg.algos.empty() && !cfg.eps.empty() && !cfg.delta.empty() &&
                 !cfg.d1.empty() && !cfg.d2.empty() && !cfg.c.empty() &&
                 !cfg.seeds.empty(),

@@ -359,6 +359,21 @@ class Profiler {
   // phase total, top kinds. All ratios 0-guarded for zero-event runs.
   void export_metrics(MetricsRegistry& registry) const;
 
+  // CPU time consumed by the calling thread — time the OS scheduled us out
+  // for does not count, which is exactly what the conservation check needs
+  // as its denominator (and what benches timing short spans on a shared box
+  // want). steady_clock fallback where the clock is missing.
+  static std::uint64_t thread_cpu_ns() {
+#if defined(CLOCK_THREAD_CPUTIME_ID)
+    timespec ts{};
+    if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0) {
+      return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
+             static_cast<std::uint64_t>(ts.tv_nsec);
+    }
+#endif
+    return steady_ns();
+  }
+
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
@@ -373,20 +388,6 @@ class Profiler {
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
-  }
-
-  // CPU time consumed by the calling thread — time the OS scheduled us out
-  // for does not count, which is exactly what the conservation check needs
-  // as its denominator. steady_clock fallback where the clock is missing.
-  static std::uint64_t thread_cpu_ns() {
-#if defined(CLOCK_THREAD_CPUTIME_ID)
-    timespec ts{};
-    if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0) {
-      return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-             static_cast<std::uint64_t>(ts.tv_nsec);
-    }
-#endif
-    return steady_ns();
   }
 
   // Ceiling on one sampled iteration's total span. A real iteration is at

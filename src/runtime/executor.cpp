@@ -64,9 +64,10 @@ void Executor::add(Machine* machine) {
   }
   // The new machine may subscribe to or claim already-interned kinds, so
   // resolved routing lists — and the per-machine memos caching their
-  // conclusions — are stale.
-  for (KindInfo& k : kinds_) k.resolved = false;
-  std::fill(memo_kid_.begin(), memo_kid_.end(), kNoKind);
+  // conclusions — are stale. run() invalidates them once, before its first
+  // event: doing it here would cost O(machines) per add, O(n^2) per
+  // assembly.
+  routing_stale_ = true;
 }
 
 void Executor::add_owned(std::unique_ptr<Machine> machine) {
@@ -350,8 +351,8 @@ void Executor::execute_fast(std::size_t machine, std::size_t offset) {
   const Action& a = ev.action;
   Machine* owner = machines_[machine];
 
-  // Per-machine kind memo: a machine that keeps emitting one kind (all of
-  // them, in the shipped harnesses) skips the interning hash entirely.
+  // Per-machine kind memo: a machine that repeats its last kind skips the
+  // interning hash entirely (see memo_kid_ for how often that happens).
   ActionKindId kid = memo_kid_[machine];
   bool memo = kid != kNoKind;
   if (memo) {
@@ -751,6 +752,11 @@ ExecutorReport Executor::run() {
           p->profile_name() == "lint" ? ProfPhase::kLint : ProfPhase::kProbe));
     }
     if (p->observes_time()) time_probes_.push_back(p);
+  }
+  if (routing_stale_) {
+    for (KindInfo& k : kinds_) k.resolved = false;
+    std::fill(memo_kid_.begin(), memo_kid_.end(), kNoKind);
+    routing_stale_ = false;
   }
   sink_events_ =
       options_.record_events || !event_probes_.empty() || flight_ != nullptr;

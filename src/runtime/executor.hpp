@@ -365,11 +365,16 @@ class Executor {
                                       // invalidation)
   std::vector<char> declared_;        // machine declared its signature
   // Per-machine routing memo: the kind and role of the machine's last
-  // executed action. A machine that keeps emitting one kind (every machine
-  // in the shipped harnesses) skips the intern hash and the claimant scan
-  // after its first event. Reset by add(), which can change routing.
+  // executed action. A machine that repeats its last kind skips the intern
+  // hash and the claimant scan. Machines that alternate kinds miss: flood
+  // nodes interleave SENDMSG and DELIVER, so the memo hits 25% of events on
+  // a flood ring. Reset once at run() start after add()s (routing_stale_),
+  // since a new machine can change routing.
   std::vector<ActionKindId> memo_kid_;
   std::vector<ActionRole> memo_role_;
+  // Set by add(): kinds_[*].resolved and memo_kid_ may be stale. run()
+  // clears both before its first event, keeping add() O(1) amortized.
+  bool routing_stale_ = false;
 
   std::vector<std::size_t> dirty_;
   std::vector<char> in_dirty_;

@@ -325,6 +325,33 @@ TEST(Experiment, ParseSweepConfigRejectsBadInput) {
   }
 }
 
+// A malformed number is a CheckError naming its line (psc-report exits 2
+// on it), not an uncaught std::invalid_argument.
+TEST(Experiment, ParseSweepConfigRejectsMalformedNumbersNamingTheLine) {
+  for (const char* bad :
+       {"nodes = banana", "ops_per_node = 3x", "write_fraction = half",
+        "horizon_ms = 99999999999999999999", "eps_us = 10, ten",
+        "seeds = 1, -2", "profile = yes"}) {
+    std::istringstream is(std::string("# header\n") + bad + "\n");
+    try {
+      parse_sweep_config(is);
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const CheckError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("sweep config line 2: ", 0), 0u)
+          << e.what();
+    }
+  }
+}
+
+// A config that sets nothing (an empty file, or psc-report --sweep=/dev/null)
+// must not silently run the default grid.
+TEST(Experiment, ParseSweepConfigRejectsConfigWithNoKeys) {
+  for (const char* text : {"", "# only a comment\n\n   \n"}) {
+    std::istringstream is(text);
+    EXPECT_THROW(parse_sweep_config(is), CheckError) << '"' << text << '"';
+  }
+}
+
 SweepConfig tiny_sweep() {
   SweepConfig cfg;
   cfg.num_nodes = 2;

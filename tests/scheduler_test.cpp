@@ -343,6 +343,96 @@ TEST(SchedulerRouting, HideAfterAddStillAppliesToInternedKinds) {
   EXPECT_TRUE(exec.trace().empty());  // hidden => invisible
 }
 
+// Declared machine that emits "X" at node 0 `count` times.
+class RepeatEmitter final : public Machine {
+ public:
+  explicit RepeatEmitter(int count) : Machine("emitter"), left_(count) {}
+  ActionRole classify(const Action& a) const override {
+    return a.name == "X" && a.node == 0 ? ActionRole::kOutput
+                                        : ActionRole::kNotMine;
+  }
+  bool declare_signature(SignatureDecl& decl) const override {
+    decl.output("X", 0);
+    return true;
+  }
+  void apply_input(const Action&, Time) override {}
+  std::vector<Action> enabled(Time) const override {
+    if (left_ == 0) return {};
+    return {make_action("X", 0)};
+  }
+  void apply_local(const Action&, Time) override { --left_; }
+  int left() const { return left_; }
+
+ private:
+  int left_;
+};
+
+// Declared machine that subscribes to "X" at node 0 and answers each one
+// with a "Y" output at node 1.
+class XListener final : public Machine {
+ public:
+  XListener() : Machine("listener") {}
+  ActionRole classify(const Action& a) const override {
+    if (a.name == "X" && a.node == 0) return ActionRole::kInput;
+    if (a.name == "Y" && a.node == 1) return ActionRole::kOutput;
+    return ActionRole::kNotMine;
+  }
+  bool declare_signature(SignatureDecl& decl) const override {
+    decl.input("X", 0);
+    decl.output("Y", 1);
+    return true;
+  }
+  void apply_input(const Action&, Time) override {
+    ++received_;
+    ++pending_;
+  }
+  std::vector<Action> enabled(Time) const override {
+    if (pending_ == 0) return {};
+    return {make_action("Y", 1)};
+  }
+  void apply_local(const Action&, Time) override { --pending_; }
+  int received() const { return received_; }
+
+ private:
+  int received_ = 0;
+  int pending_ = 0;
+};
+
+// run(); add() a subscriber to a kind that run already resolved; run()
+// again. add() only flags the routing as stale, so this pins that the
+// second run() still re-resolves the kind and drops the emitter's memo:
+// without that, X would keep its empty subscriber list and the listener
+// would never hear it.
+TEST(SchedulerRouting, AddAfterRunRoutesResolvedKindToNewSubscriber) {
+  const auto run = [](SchedMode mode, int* received) {
+    Executor exec({.horizon = seconds(1),
+                   .legacy_scan = mode.legacy,
+                   .heap_calendar = mode.heap});
+    auto emitter = std::make_unique<RepeatEmitter>(4);
+    const RepeatEmitter* em = emitter.get();
+    exec.add_owned(std::move(emitter));
+    exec.stop_when([em] { return em->left() <= 2; });
+    exec.run();
+    EXPECT_EQ(em->left(), 2) << mode.name;
+    auto listener = std::make_unique<XListener>();
+    const XListener* li = listener.get();
+    exec.add_owned(std::move(listener));
+    exec.stop_when([] { return false; });
+    const auto report = exec.run();
+    EXPECT_TRUE(report.quiesced) << mode.name;
+    *received = li->received();
+    return normalized(exec.events());
+  };
+  int legacy_received = 0;
+  const std::string ref = run(kLegacyMode, &legacy_received);
+  EXPECT_EQ(legacy_received, 2);
+  for (const SchedMode& mode : {kWheelMode, kHeapMode}) {
+    int received = 0;
+    EXPECT_EQ(run(mode, &received), ref) << mode.name;
+    EXPECT_EQ(received, 2) << mode.name;
+  }
+}
+
 // --- event-cap semantics (ExecutorReport::hit_event_cap) ------------------
 
 class Spinner final : public Machine {

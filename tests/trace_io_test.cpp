@@ -2,6 +2,9 @@
 // traces with messages, clocks, and hidden events.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "core/trace_io.hpp"
 #include "util/check.hpp"
 #include "rw/harness.hpp"
@@ -89,6 +92,42 @@ TEST(TraceIoTest, RealSystemTraceRoundTrips) {
 TEST(TraceIoTest, MalformedInputRejected) {
   EXPECT_THROW(trace_from_text("12 - - X BADVIS 0 -"), CheckError);
   EXPECT_THROW(trace_from_text("1 - - V NAME 0 - q:12"), CheckError);
+}
+
+// Expects `read` to throw CheckError whose message names `line`.
+template <class F>
+void expect_rejected_at_line(F read, int line) {
+  try {
+    read();
+    ADD_FAILURE() << "malformed trace accepted";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("line " + std::to_string(line) + ": ", 0), 0u)
+        << what;
+  }
+}
+
+// Bad numbers and truncated lines must surface as CheckError (which
+// psc-lint reports with exit 2), never as an uncaught std::invalid_argument.
+TEST(TraceIoTest, MalformedNumbersAndTruncatedLinesNameTheLine) {
+  const std::string good = "5 - 0 V X 0 -\n";
+  for (const std::string bad :
+       {"garbage", "5", "5 x 0 V X 0 -", "5 - 0 V X zero -",
+        "5 - 0 V X 0 - a:1.5", "5 - 0 V X 0 - f:nope",
+        "5 - 0 V X 0 - m:k:uid:-", "5 - 0 V X 0 - m:k:1:tag",
+        "99999999999999999999 - 0 V X 0 -"}) {
+    expect_rejected_at_line([&] { trace_from_text(good + bad); }, 2);
+  }
+  // read_trace_any skips leading blank lines while sniffing the format;
+  // the reported line still counts them.
+  std::istringstream text("\n\n" + good + "garbage\n");
+  expect_rejected_at_line([&] { read_trace_any(text); }, 4);
+  std::istringstream jsonl(
+      "\n{\"time\":1,\"visible\":true,\"name\":\"X\"}\n"
+      "{\"time\":-,\"visible\":true,\"name\":\"X\"}\n");
+  expect_rejected_at_line([&] { read_trace_any(jsonl); }, 3);
+  std::istringstream jsonl_float("{\"time\":1,\"args\":[{\"f\":1e}]}\n");
+  expect_rejected_at_line([&] { read_trace_jsonl(jsonl_float); }, 1);
 }
 
 }  // namespace
