@@ -120,6 +120,34 @@ void BM_WingGongConcurrent(benchmark::State& state) {
 }
 BENCHMARK(BM_WingGongConcurrent)->Arg(4)->Arg(8);
 
+// A real history at the register_clock benchmark's size: Theorem 6.5's
+// algorithm S through Simulation 1, 8 nodes x 400 ops (3,200), half writes,
+// random drift. The search's per-state cost shows here, unlike at 256 ops.
+void BM_WingGongClockRun(benchmark::State& state) {
+  static const std::vector<Operation> ops = [] {
+    RwRunConfig cfg = bench_config();
+    cfg.num_nodes = 8;
+    cfg.ops_per_node = 400;
+    cfg.write_fraction = 0.5;
+    cfg.think_max = microseconds(300);
+    cfg.horizon = seconds(60);
+    cfg.seed = 200;
+    return run_rw_clock(cfg, RandomDrift(0.1, milliseconds(1))).ops;
+  }();
+  std::size_t states = 0;
+  for (auto _ : state) {
+    const auto r = check_linearizable(ops, 0);
+    benchmark::DoNotOptimize(r.ok);
+    if (!r) state.SkipWithError(r.why.c_str());
+    states = r.states;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(states));
+  state.SetLabel("ops=" + std::to_string(ops.size()) +
+                 " states=" + std::to_string(states));
+}
+BENCHMARK(BM_WingGongClockRun)->Unit(benchmark::kMillisecond);
+
 void BM_WitnessCheck(benchmark::State& state) {
   const auto ops = sequential_history(static_cast<int>(state.range(0)));
   std::vector<Time> points;

@@ -59,7 +59,10 @@ Time ClockTrajectory::time_first_at(Time c) const {
   const auto& last = points_.back();
   if (c >= last.c) return last.t + (c - last.c);
   // Find the segment whose clock range contains c, then binary-search the
-  // nanosecond grid (robust against interpolation rounding).
+  // nanosecond grid (robust against interpolation rounding). Every probe
+  // lies strictly inside (lo.t, hi.t), where clock_at is exactly this
+  // segment's lerp, so the probes interpolate directly instead of
+  // re-locating the segment.
   auto it = std::upper_bound(
       points_.begin(), points_.end(), c,
       [](Time x, const Breakpoint& b) { return x < b.c; });
@@ -75,7 +78,7 @@ Time ClockTrajectory::time_first_at(Time c) const {
   Time a = lo.t, b = hi.t;  // clock_at(a) < c <= clock_at(b)
   while (a + 1 < b) {
     const Time mid = a + (b - a) / 2;
-    if (clock_at(mid) >= c) {
+    if (lerp(lo.t, lo.c, hi.t, hi.c, mid) >= c) {
       b = mid;
     } else {
       a = mid;
@@ -97,8 +100,8 @@ Time ClockTrajectory::time_last_at(Time c) const {
   const auto& lo = *(it - 1);
   Time a = lo.t, b = hi.t;  // clock_at(a) <= c < clock_at(b)
   while (a + 1 < b) {
-    const Time mid = a + (b - a) / 2;
-    if (clock_at(mid) <= c) {
+    const Time mid = a + (b - a) / 2;  // in (lo.t, hi.t), as above
+    if (lerp(lo.t, lo.c, hi.t, hi.c, mid) <= c) {
       a = mid;
     } else {
       b = mid;

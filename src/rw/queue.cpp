@@ -9,6 +9,7 @@
 #include "runtime/composite.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/system.hpp"
+#include "rw/frontier.hpp"
 #include "transform/clock_system.hpp"
 #include "util/check.hpp"
 
@@ -234,77 +235,68 @@ Time QueueClient::next_enabled(Time t) const {
 
 namespace {
 
-std::string queue_key(const std::vector<std::uint64_t>& mask,
-                      const std::deque<std::int64_t>& q) {
-  std::string key(reinterpret_cast<const char*>(mask.data()),
-                  mask.size() * sizeof(std::uint64_t));
-  for (const auto v : q) {
-    key.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  }
-  return key;
-}
-
 struct QueueSearcher {
   const std::vector<QueueOp>& ops;
   std::size_t max_states;
   std::size_t states = 0;
   bool capped = false;
-  std::unordered_set<std::string> failed;
-  std::vector<std::uint64_t> mask;
+  SearchFrontier frontier;
+  std::unordered_set<std::string> failed;  // (linearized set, queue) keys
+  std::vector<std::uint32_t> cands;  // candidates of every open frame
+  std::string key;
 
   explicit QueueSearcher(const std::vector<QueueOp>& o, std::size_t cap)
-      : ops(o), max_states(cap), mask((o.size() + 63) / 64, 0) {}
+      : ops(o), max_states(cap), frontier(o) {}
 
-  bool done(std::size_t k) const { return (mask[k / 64] >> (k % 64)) & 1; }
-  void set(std::size_t k, bool v) {
-    if (v) {
-      mask[k / 64] |= std::uint64_t{1} << (k % 64);
-    } else {
-      mask[k / 64] &= ~(std::uint64_t{1} << (k % 64));
+  const std::string& key_of(const std::deque<std::int64_t>& q) {
+    key.clear();
+    frontier.append_key(key);
+    for (const auto v : q) {
+      key.append(reinterpret_cast<const char*>(&v), sizeof(v));
     }
+    return key;
   }
 
-  bool search(std::size_t remaining, std::deque<std::int64_t>& q) {
-    if (remaining == 0) return true;
+  bool descend(std::uint32_t k, std::deque<std::int64_t>& q) {
+    frontier.take(k);
+    if (search(q)) return true;
+    frontier.restore(k);
+    return false;
+  }
+
+  bool search(std::deque<std::int64_t>& q) {
+    if (frontier.empty()) return true;
     if (++states > max_states) {
       capped = true;
       return false;
     }
-    const std::string key = queue_key(mask, q);
-    if (failed.count(key)) return false;
-    Time min_res = kTimeMax;
-    for (std::size_t k = 0; k < ops.size(); ++k) {
-      if (!done(k)) min_res = std::min(min_res, ops[k].res);
-    }
-    for (std::size_t k = 0; k < ops.size(); ++k) {
-      if (done(k) || ops[k].inv > min_res) continue;
+    if (failed.count(key_of(q))) return false;
+    const std::size_t begin = cands.size();
+    frontier.candidates(cands);
+    const std::size_t end = cands.size();
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint32_t k = cands[i];
       const auto& op = ops[k];
       if (op.kind == QueueOp::Kind::kEnq) {
         q.push_back(op.value);
-        set(k, true);
-        if (search(remaining - 1, q)) return true;
-        set(k, false);
+        if (descend(k, q)) return true;
         q.pop_back();
-      } else {
+      } else if (q.empty()) {
         // Dequeue must return the current front, or -1 when empty.
-        if (q.empty()) {
-          if (op.value != -1) continue;
-          set(k, true);
-          if (search(remaining - 1, q)) return true;
-          set(k, false);
-        } else {
-          if (op.value != q.front()) continue;
-          const std::int64_t head = q.front();
-          q.pop_front();
-          set(k, true);
-          if (search(remaining - 1, q)) return true;
-          set(k, false);
-          q.push_front(head);
-        }
+        if (op.value != -1) continue;
+        if (descend(k, q)) return true;
+      } else {
+        if (op.value != q.front()) continue;
+        const std::int64_t head = q.front();
+        q.pop_front();
+        if (descend(k, q)) return true;
+        q.push_front(head);
       }
+      cands.resize(end);
       if (capped) return false;
     }
-    failed.insert(key);
+    cands.resize(begin);
+    failed.insert(key_of(q));
     return false;
   }
 };
@@ -320,7 +312,7 @@ QueueCheckResult check_linearizable_queue(const std::vector<QueueOp>& ops,
   }
   QueueSearcher s(ops, max_states);
   std::deque<std::int64_t> q;
-  const bool ok = s.search(ops.size(), q);
+  const bool ok = s.search(q);
   QueueCheckResult r;
   r.ok = ok;
   r.conclusive = !s.capped;

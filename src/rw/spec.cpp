@@ -5,6 +5,7 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "rw/frontier.hpp"
 #include "util/check.hpp"
 
 namespace psc {
@@ -80,63 +81,50 @@ History extract_history(const TimedTrace& trace) {
 
 namespace {
 
-// Memoization key: bitmask of linearized ops (chunked) + register value.
-std::string memo_key(const std::vector<std::uint64_t>& done,
-                     std::int64_t value) {
-  std::string key(reinterpret_cast<const char*>(done.data()),
-                  done.size() * sizeof(std::uint64_t));
-  key.append(reinterpret_cast<const char*>(&value), sizeof(value));
-  return key;
-}
-
 struct Searcher {
   const std::vector<Operation>& ops;
   std::size_t max_states;
   std::size_t states = 0;
   bool capped = false;
-  std::unordered_set<std::string> failed;
-  std::vector<std::uint64_t> done_mask;
+  SearchFrontier frontier;
+  std::unordered_set<std::string> failed;  // (linearized set, value) keys
+  std::vector<std::uint32_t> cands;  // candidates of every open frame
+  std::string key;
 
   explicit Searcher(const std::vector<Operation>& o, std::size_t cap)
-      : ops(o), max_states(cap), done_mask((o.size() + 63) / 64, 0) {}
+      : ops(o), max_states(cap), frontier(o) {}
 
-  bool is_done(std::size_t k) const {
-    return (done_mask[k / 64] >> (k % 64)) & 1;
-  }
-  void set_done(std::size_t k, bool v) {
-    if (v) {
-      done_mask[k / 64] |= std::uint64_t{1} << (k % 64);
-    } else {
-      done_mask[k / 64] &= ~(std::uint64_t{1} << (k % 64));
-    }
+  const std::string& key_of(std::int64_t value) {
+    key.clear();
+    key.append(reinterpret_cast<const char*>(&value), sizeof(value));
+    frontier.append_key(key);
+    return key;
   }
 
-  bool search(std::size_t remaining, std::int64_t value) {
-    if (remaining == 0) return true;
+  bool search(std::int64_t value) {
+    if (frontier.empty()) return true;
     if (++states > max_states) {
       capped = true;
       return false;
     }
-    const std::string key = memo_key(done_mask, value);
-    if (failed.count(key)) return false;
-    // An op can be linearized next iff no other remaining op's response
-    // precedes its invocation: inv <= min(res over remaining).
-    Time min_res = kTimeMax;
-    for (std::size_t k = 0; k < ops.size(); ++k) {
-      if (!is_done(k)) min_res = std::min(min_res, ops[k].res);
-    }
-    for (std::size_t k = 0; k < ops.size(); ++k) {
-      if (is_done(k) || ops[k].inv > min_res) continue;
+    if (failed.count(key_of(value))) return false;
+    const std::size_t begin = cands.size();
+    frontier.candidates(cands);
+    const std::size_t end = cands.size();
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint32_t k = cands[i];
       const auto& op = ops[k];
       if (op.kind == Operation::Kind::kRead && op.value != value) continue;
       const std::int64_t next_value =
           op.kind == Operation::Kind::kWrite ? op.value : value;
-      set_done(k, true);
-      if (search(remaining - 1, next_value)) return true;
-      set_done(k, false);
+      frontier.take(k);
+      if (search(next_value)) return true;
+      frontier.restore(k);
+      cands.resize(end);
       if (capped) return false;
     }
-    failed.insert(key);
+    cands.resize(begin);
+    failed.insert(key_of(value));
     return false;
   }
 };
@@ -153,7 +141,7 @@ LinearizabilityResult check_linearizable(const std::vector<Operation>& ops,
     }
   }
   Searcher s(ops, max_states);
-  const bool ok = s.search(ops.size(), v0);
+  const bool ok = s.search(v0);
   LinearizabilityResult r;
   r.ok = ok;
   r.conclusive = !s.capped;

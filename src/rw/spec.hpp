@@ -64,6 +64,13 @@ struct LinearizabilityResult {
 // (set of linearized ops, register value). Sound and complete for
 // histories up to the state cap. Works for arbitrary (not necessarily
 // unique) written values.
+//
+// Each search state costs O(w log w) for a window of w overlapping ops
+// (about one per process), not O(n): candidates come from a linked list of
+// the remaining ops in invocation order, scanned only until an invocation
+// passes the running min(res). The memo key is exact, not a hash: the
+// value, the first remaining op's position in that order, and the done
+// bits from there to the deepest linearized op (rw/frontier.hpp).
 LinearizabilityResult check_linearizable(const std::vector<Operation>& ops,
                                          std::int64_t v0,
                                          std::size_t max_states = 4'000'000);

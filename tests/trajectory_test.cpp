@@ -2,6 +2,8 @@
 // band, inversion properties, and generator sweeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "clock/trajectory.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -48,6 +50,52 @@ TEST(TrajectoryTest, InverseConsistency) {
     const Time tl = traj.time_last_at(c);
     EXPECT_LE(traj.clock_at(tl), c) << "c=" << c;
     EXPECT_GT(traj.clock_at(tl + 1), c) << "c=" << c;
+  }
+}
+
+// The definitions InverseConsistency checks, as one predicate.
+::testing::AssertionResult inverse_consistent(const ClockTrajectory& traj,
+                                              Time c) {
+  const Time tf = traj.time_first_at(c);
+  if (traj.clock_at(tf) < c || (tf > 0 && traj.clock_at(tf - 1) >= c)) {
+    return ::testing::AssertionFailure()
+           << "time_first_at(" << c << ") = " << tf;
+  }
+  const Time tl = traj.time_last_at(c);
+  if (traj.clock_at(tl) > c || traj.clock_at(tl + 1) <= c) {
+    return ::testing::AssertionFailure()
+           << "time_last_at(" << c << ") = " << tl;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The same definitions on generated trajectories with over a thousand
+// breakpoints and both fast and slow segments: at random clock values, at
+// every breakpoint's clock value and its neighbours, and on the final
+// rate-1 ray.
+TEST(TrajectoryTest, InverseConsistencyOnGeneratedTrajectories) {
+  Rng rng(11);
+  const RandomDrift random(0.1, microseconds(10));
+  const ZigzagDrift zigzag(0.25);
+  for (const DriftModel* model : {static_cast<const DriftModel*>(&random),
+                                  static_cast<const DriftModel*>(&zigzag)}) {
+    const auto traj =
+        model->generate(microseconds(2), milliseconds(20), rng);
+    const auto& pts = traj.points();
+    ASSERT_GE(pts.size(), 1000u) << model->name();
+    for (const auto& p : pts) {
+      for (Time c = std::max<Time>(0, p.c - 1); c <= p.c + 1; ++c) {
+        ASSERT_TRUE(inverse_consistent(traj, c)) << model->name();
+      }
+    }
+    const Time last_c = pts.back().c;
+    for (int k = 0; k < 5000; ++k) {
+      ASSERT_TRUE(inverse_consistent(traj, rng.uniform(0, last_c)))
+          << model->name();
+    }
+    for (Time c = last_c; c <= last_c + microseconds(50); c += 997) {
+      ASSERT_TRUE(inverse_consistent(traj, c)) << model->name();
+    }
   }
 }
 
