@@ -6,6 +6,8 @@
 // trajectory queries. These are the costs a user of the library pays.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "clock/trajectory.hpp"
 #include "core/relations.hpp"
 #include "rw/harness.hpp"
@@ -182,19 +184,49 @@ void BM_EqWithinRelation(benchmark::State& state) {
 }
 BENCHMARK(BM_EqWithinRelation)->Arg(64)->Arg(1024);
 
-void BM_TrajectoryQueries(benchmark::State& state) {
+// ~20k breakpoints over 10 s. Each benchmark item is three queries:
+// clock_at, time_first_at and time_last_at.
+ClockTrajectory bench_trajectory() {
   Rng rng(7);
-  RandomDrift drift(0.2, microseconds(500));
-  const auto traj = drift.generate(microseconds(100), seconds(10), rng);
+  const RandomDrift drift(0.2, microseconds(500));
+  return drift.generate(microseconds(100), seconds(10), rng);
+}
+
+// Time-local access, as a clocked machine produces it: real time advances
+// in small steps and the clock-time hints look a little ahead of the
+// current reading, so almost every query lands on the cursor's segment or
+// its successor.
+void BM_TrajectoryQueriesLocal(benchmark::State& state) {
+  const auto traj = bench_trajectory();
   Time t = 0;
   for (auto _ : state) {
     t = (t + 37'123) % seconds(10);
-    benchmark::DoNotOptimize(traj.clock_at(t));
-    benchmark::DoNotOptimize(traj.time_first_at(t));
+    const Time c = traj.clock_at(t);
+    benchmark::DoNotOptimize(c);
+    benchmark::DoNotOptimize(traj.time_first_at(c + microseconds(300)));
+    benchmark::DoNotOptimize(traj.time_last_at(c + microseconds(300)));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TrajectoryQueries);
+BENCHMARK(BM_TrajectoryQueriesLocal);
+
+// Random jumps: every query lands on an unrelated segment, so each one
+// takes the cursor's miss path (a binary search over the breakpoints).
+void BM_TrajectoryQueriesJump(benchmark::State& state) {
+  const auto traj = bench_trajectory();
+  Rng rng(11);
+  std::vector<Time> at(4096);
+  for (auto& x : at) x = rng.uniform(0, seconds(10));
+  std::size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(traj.clock_at(at[k]));
+    benchmark::DoNotOptimize(traj.time_first_at(at[k + 1]));
+    benchmark::DoNotOptimize(traj.time_last_at(at[k + 2]));
+    k = (k + 3) % (at.size() - 2);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TrajectoryQueriesJump);
 
 void BM_GammaConstruction(benchmark::State& state) {
   RwRunConfig cfg = bench_config();

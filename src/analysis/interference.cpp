@@ -6,8 +6,10 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 namespace psc {
 
@@ -97,13 +99,18 @@ void json_escape(std::ostream& os, const std::string& s) {
 }
 
 // Minimal numeric field scraper for our own JSONL (inverts what
-// write_shard_plan_jsonl emits; not a general JSON parser).
-long long scrape_num(const std::string& line, const std::string& key,
-                     long long fallback) {
+// write_shard_plan_jsonl emits; not a general JSON parser). The value is
+// exactly the token up to the next ',' or '}'; a missing key, a missing
+// terminator or a malformed number raises CheckError.
+long long scrape_num(const std::string& line, const std::string& key) {
   const std::string needle = "\"" + key + "\":";
   const std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return fallback;
-  return std::stoll(line.substr(pos + needle.size()));
+  PSC_CHECK(pos != std::string::npos, "missing \"" << key << "\"");
+  const std::size_t begin = pos + needle.size();
+  const std::size_t end = line.find_first_of(",}", begin);
+  PSC_CHECK(end != std::string::npos, "unterminated \"" << key << "\"");
+  return parse_number<long long>(
+      std::string_view(line).substr(begin, end - begin), key);
 }
 
 // Union-find with path halving, for merging zero-lookahead edge endpoints.
@@ -344,19 +351,32 @@ void write_shard_plan_jsonl(std::ostream& os, const ShardPlan& plan,
 ShardPlan read_shard_plan_jsonl(std::istream& is) {
   ShardPlan plan;
   std::string line;
-  while (std::getline(is, line)) {
-    if (line.find("\"type\":\"shard_plan\"") != std::string::npos) {
-      plan.num_shards = static_cast<int>(scrape_num(line, "shards", 0));
-      plan.shard_of.assign(
-          static_cast<std::size_t>(scrape_num(line, "machines", 0)), 0);
-      plan.cut_edges =
-          static_cast<std::size_t>(scrape_num(line, "cut_edges", 0));
-      plan.min_cut_lookahead = scrape_num(line, "min_cut_lookahead_ns", -1);
-    } else if (line.find("\"type\":\"shard_assign\"") != std::string::npos) {
-      const auto idx = static_cast<std::size_t>(scrape_num(line, "index", -1));
-      if (idx < plan.shard_of.size()) {
-        plan.shard_of[idx] = static_cast<int>(scrape_num(line, "shard", 0));
+  for (int line_no = 1; std::getline(is, line); ++line_no) {
+    const bool summary =
+        line.find("\"type\":\"shard_plan\"") != std::string::npos;
+    const bool assign =
+        line.find("\"type\":\"shard_assign\"") != std::string::npos;
+    if (!summary && !assign) continue;
+    try {
+      PSC_CHECK(line.back() == '}', "truncated line");
+      if (summary) {
+        plan.num_shards = static_cast<int>(scrape_num(line, "shards"));
+        const long long machines = scrape_num(line, "machines");
+        PSC_CHECK(machines >= 0, "negative \"machines\"");
+        plan.shard_of.assign(static_cast<std::size_t>(machines), 0);
+        plan.cut_edges =
+            static_cast<std::size_t>(scrape_num(line, "cut_edges"));
+        plan.min_cut_lookahead = scrape_num(line, "min_cut_lookahead_ns");
+      } else {
+        const long long idx = scrape_num(line, "index");
+        PSC_CHECK(idx >= 0 && static_cast<std::size_t>(idx) <
+                                  plan.shard_of.size(),
+                  "machine index " << idx << " out of range");
+        plan.shard_of[static_cast<std::size_t>(idx)] =
+            static_cast<int>(scrape_num(line, "shard"));
       }
+    } catch (const CheckError& e) {
+      throw CheckError("line " + std::to_string(line_no) + ": " + e.what());
     }
   }
   plan.shard_sizes.assign(

@@ -123,7 +123,8 @@ ShardPlan synthesize_shards(const InterferenceGraph& g, int k,
 // JSONL export/import of a shard plan (one summary line, then one
 // assignment line per machine). read_shard_plan_jsonl inverts
 // write_shard_plan_jsonl exactly (machine names are carried for humans but
-// assignments key on the graph node index).
+// assignments key on the graph node index). A malformed or truncated plan
+// line raises CheckError naming its 1-based line number.
 void write_shard_plan_jsonl(std::ostream& os, const ShardPlan& plan,
                             const InterferenceGraph& g);
 ShardPlan read_shard_plan_jsonl(std::istream& is);

@@ -17,6 +17,12 @@ Time lerp(Time x0, Time y0, Time x1, Time y1, Time x) {
   return y0 + static_cast<Time>(num / (x1 - x0));
 }
 
+// ceil(a * b / d) for a, b >= 0 and d > 0, with a 128-bit product.
+Time ceil_div(Time a, Time b, Time d) {
+  const __int128 num = static_cast<__int128>(a) * b;
+  return static_cast<Time>((num + d - 1) / d);
+}
+
 }  // namespace
 
 ClockTrajectory ClockTrajectory::perfect() {
@@ -37,54 +43,52 @@ ClockTrajectory::ClockTrajectory(std::vector<Breakpoint> points, Duration eps)
   }
 }
 
+template <Time Breakpoint::*key>
+std::size_t ClockTrajectory::locate(Time v) const {
+  // Fast path: the cursor's segment or its successor. points_[i + 2]
+  // exists whenever v >= points_[i + 1].*key, because v < points_.back().*key.
+  const std::size_t i = cursor_;
+  if (points_[i].*key <= v) {
+    if (v < points_[i + 1].*key) return i;
+    if (v < points_[i + 2].*key) return cursor_ = i + 1;
+  }
+  // The first breakpoint with key > v; its predecessor exists because
+  // points_.front().*key == 0 <= v.
+  const auto it = std::upper_bound(
+      points_.begin(), points_.end(), v,
+      [](Time x, const Breakpoint& b) { return x < b.*key; });
+  return cursor_ = static_cast<std::size_t>(it - points_.begin()) - 1;
+}
+
 Time ClockTrajectory::clock_at(Time t) const {
   PSC_CHECK(t >= 0, "clock_at(" << t << ")");
   // Beyond the last breakpoint the clock runs at rate 1.
   const auto& last = points_.back();
   if (t >= last.t) return last.c + (t - last.t);
-  // Binary search for the segment containing t.
-  auto it = std::upper_bound(
-      points_.begin(), points_.end(), t,
-      [](Time x, const Breakpoint& b) { return x < b.t; });
-  // it points to the first breakpoint with .t > t; predecessor exists
-  // because points_.front().t == 0 <= t.
-  const auto& hi = *it;
-  const auto& lo = *(it - 1);
+  const std::size_t i = locate<&Breakpoint::t>(t);
+  const auto& lo = points_[i];
+  const auto& hi = points_[i + 1];
   if (t == lo.t) return lo.c;
   return lerp(lo.t, lo.c, hi.t, hi.c, t);
 }
+
+// Inside a segment clock_at(lo.t + x) = lo.c + floor(x * A / B), with
+// A = hi.c - lo.c and B = hi.t - lo.t, both positive. For k = c - lo.c in
+// [0, A):
+//   floor(x*A/B) >= k      <=>  x >= k*B/A        so the earliest x is
+//                                                 ceil(k*B/A);
+//   floor(x*A/B) <= k      <=>  x < (k+1)*B/A     so the latest x is
+//                                                 ceil((k+1)*B/A) - 1.
+// Both lie in [0, B], so the answer stays inside the segment.
 
 Time ClockTrajectory::time_first_at(Time c) const {
   if (c <= 0) return 0;
   const auto& last = points_.back();
   if (c >= last.c) return last.t + (c - last.c);
-  // Find the segment whose clock range contains c, then binary-search the
-  // nanosecond grid (robust against interpolation rounding). Every probe
-  // lies strictly inside (lo.t, hi.t), where clock_at is exactly this
-  // segment's lerp, so the probes interpolate directly instead of
-  // re-locating the segment.
-  auto it = std::upper_bound(
-      points_.begin(), points_.end(), c,
-      [](Time x, const Breakpoint& b) { return x < b.c; });
-  const auto& hi = *it;
-  const auto& lo = *(it - 1);
-  if (c == lo.c) {
-    // Earliest time: could even be in an earlier flat-rounded region, but
-    // segments strictly increase, so lo.t is the first grid time with
-    // clock >= lo.c unless the previous segment already reached it; since
-    // breakpoint clocks strictly increase, lo.t is correct.
-    return lo.t;
-  }
-  Time a = lo.t, b = hi.t;  // clock_at(a) < c <= clock_at(b)
-  while (a + 1 < b) {
-    const Time mid = a + (b - a) / 2;
-    if (lerp(lo.t, lo.c, hi.t, hi.c, mid) >= c) {
-      b = mid;
-    } else {
-      a = mid;
-    }
-  }
-  return b;
+  const std::size_t i = locate<&Breakpoint::c>(c);
+  const auto& lo = points_[i];
+  const auto& hi = points_[i + 1];
+  return lo.t + ceil_div(c - lo.c, hi.t - lo.t, hi.c - lo.c);
 }
 
 Time ClockTrajectory::time_last_at(Time c) const {
@@ -93,21 +97,10 @@ Time ClockTrajectory::time_last_at(Time c) const {
   }
   const auto& last = points_.back();
   if (c >= last.c) return last.t + (c - last.c);
-  auto it = std::upper_bound(
-      points_.begin(), points_.end(), c,
-      [](Time x, const Breakpoint& b) { return x < b.c; });
-  const auto& hi = *it;  // clock_at(hi.t) > c
-  const auto& lo = *(it - 1);
-  Time a = lo.t, b = hi.t;  // clock_at(a) <= c < clock_at(b)
-  while (a + 1 < b) {
-    const Time mid = a + (b - a) / 2;  // in (lo.t, hi.t), as above
-    if (lerp(lo.t, lo.c, hi.t, hi.c, mid) <= c) {
-      a = mid;
-    } else {
-      b = mid;
-    }
-  }
-  return a;
+  const std::size_t i = locate<&Breakpoint::c>(c);
+  const auto& lo = points_[i];
+  const auto& hi = points_[i + 1];
+  return lo.t + ceil_div(c - lo.c + 1, hi.t - lo.t, hi.c - lo.c) - 1;
 }
 
 void ClockTrajectory::validate(Time horizon) const {

@@ -13,8 +13,22 @@
 // executor only ever passes time in jumps where this is harmless, and
 // validate() enforces the C_eps band pointwise at breakpoints plus segment
 // analysis in between.
+//
+// Query cost. clock_at, time_first_at and time_last_at each locate one
+// segment and then do one 128-bit multiply-divide: the inverses are exact
+// closed forms of the rounded-down interpolation, not searches. Segment
+// lookup goes through a cursor, the index of the segment the previous query
+// used. A query checks that segment and its successor first and falls back
+// to a binary search over the breakpoints only when both miss, so
+// time-local access (monotone executor time, hints a little ahead of it)
+// costs O(1) per query and a random jump costs O(log n).
+//
+// Because every query may move the cursor, a trajectory is NOT safe to
+// query from two threads at once, even through a const reference. The
+// executor is single-threaded by design.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,8 +74,17 @@ class ClockTrajectory {
   const std::vector<Breakpoint>& points() const { return points_; }
 
  private:
+  // Index i of the segment [points_[i], points_[i+1]) whose `key` range
+  // holds v; requires points_.front().*key <= v < points_.back().*key.
+  // Moves the cursor to i.
+  template <Time Breakpoint::*key>
+  std::size_t locate(Time v) const;
+
   std::vector<Breakpoint> points_;  // at least {(0,0)}
   Duration eps_;
+  // Segment of the last located query; always a valid segment index when
+  // points_ has a segment at all (see locate).
+  mutable std::size_t cursor_ = 0;
 };
 
 // Generators for clock behaviours within a C_eps envelope. Each model

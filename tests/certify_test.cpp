@@ -447,6 +447,49 @@ TEST(CertifyTest, ShardPlanProvesRingLookaheadAcrossK) {
   }
 }
 
+// The reader raises a diagnostic naming the line instead of aborting on a
+// non-number or silently accepting trailing garbage or a cut-off line.
+TEST(CertifyTest, MalformedShardPlanJsonlNamesTheLine) {
+  const std::string summary =
+      "{\"type\":\"shard_plan\",\"shards\":2,\"machines\":2,"
+      "\"cut_edges\":1,\"min_cut_lookahead_ns\":20000}\n";
+  const std::string assign0 =
+      "{\"type\":\"shard_assign\",\"index\":0,\"machine\":\"a\","
+      "\"shard\":0}\n";
+  const auto read_error = [](const std::string& text) -> std::string {
+    std::istringstream is(text);
+    try {
+      read_shard_plan_jsonl(is);
+    } catch (const CheckError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  {
+    std::istringstream is(summary + assign0);
+    EXPECT_EQ(read_shard_plan_jsonl(is).shard_of, (std::vector<int>{0, 0}));
+  }
+  for (const char* bad : {"1x", "abc", "", "99999999999999999999"}) {
+    const std::string err = read_error(
+        summary + assign0 +
+        "{\"type\":\"shard_assign\",\"index\":1,\"machine\":\"b\","
+        "\"shard\":" + bad + "}\n");
+    EXPECT_NE(err.find("line 3: "), std::string::npos) << bad << ": " << err;
+    EXPECT_NE(err.find("shard"), std::string::npos) << err;
+  }
+  // Truncated mid-line: the summary loses its closing brace and last key.
+  const std::string truncated = summary.substr(0, summary.size() - 12);
+  const std::string err = read_error(truncated + "\n" + assign0);
+  EXPECT_NE(err.find("line 1: "), std::string::npos) << err;
+  EXPECT_NE(err.find("truncated"), std::string::npos) << err;
+  // An assignment for a machine the summary does not have.
+  EXPECT_NE(read_error(summary +
+                       "{\"type\":\"shard_assign\",\"index\":7,"
+                       "\"machine\":\"z\",\"shard\":1}\n")
+                .find("line 2: "),
+            std::string::npos);
+}
+
 TEST(CertifyTest, CertificationScalesTo65536Machines) {
   // 32768 flood nodes + 32768 channels. The whole static pipeline — wiring
   // lint, graph build, certificates, shard plan — must finish in < 5 s

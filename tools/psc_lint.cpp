@@ -47,6 +47,7 @@
 #include "runtime/system.hpp"
 #include "transform/clock_system.hpp"
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 using namespace psc;
 
@@ -82,10 +83,13 @@ std::map<std::string, std::string> parse_args(int argc, char** argv) {
   return args;
 }
 
+// Numeric flags parse their whole value; a malformed one raises CheckError
+// naming the flag, which main reports with exit status 2.
 std::int64_t geti(const std::map<std::string, std::string>& a,
                   const std::string& key, std::int64_t def) {
   auto it = a.find(key);
-  return it == a.end() ? def : std::stoll(it->second);
+  return it == a.end() ? def
+                       : parse_number<std::int64_t>(it->second, "--" + key);
 }
 
 // --- certify mode ---------------------------------------------------------
@@ -245,9 +249,9 @@ int run_certify(const std::map<std::string, std::string>& args,
   return clean ? 0 : 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+// Trace mode (and the dispatch to certify mode); main reports any
+// CheckError these raise.
+int lint(int argc, char** argv) {
   const auto args = parse_args(argc, argv);
   const auto certify_it = args.find("certify");
   if (certify_it != args.end()) return run_certify(args, certify_it->second);
@@ -301,4 +305,15 @@ int main(int argc, char** argv) {
   }
   std::cout << report.to_text();
   return report.has_errors() ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return lint(argc, argv);
+  } catch (const CheckError& e) {
+    std::cerr << "psc-lint: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -77,6 +77,8 @@
 #include "runtime/system.hpp"
 #include "rw/harness.hpp"
 #include "rw/queue.hpp"
+#include "util/check.hpp"
+#include "util/parse.hpp"
 #include "util/stats.hpp"
 
 using namespace psc;
@@ -101,16 +103,19 @@ std::map<std::string, std::string> parse_args(int argc, char** argv) {
   return args;
 }
 
+// Numeric flags parse their whole value; a malformed one raises CheckError
+// naming the flag, which main reports with exit status 2.
 std::int64_t geti(const std::map<std::string, std::string>& a,
                   const std::string& key, std::int64_t def) {
   auto it = a.find(key);
-  return it == a.end() ? def : std::stoll(it->second);
+  return it == a.end() ? def
+                       : parse_number<std::int64_t>(it->second, "--" + key);
 }
 
 double getd(const std::map<std::string, std::string>& a,
             const std::string& key, double def) {
   auto it = a.find(key);
-  return it == a.end() ? def : std::stod(it->second);
+  return it == a.end() ? def : parse_number<double>(it->second, "--" + key);
 }
 
 std::string gets(const std::map<std::string, std::string>& a,
@@ -647,11 +652,16 @@ int main(int argc, char** argv) {
     return 0;
   }
   const auto args = parse_args(argc, argv);
-  if (scenario == "queue") return run_queue(args);
-  if (scenario == "flood") return run_flood(args);
-  if (scenario == "rw-timed" || scenario == "rw-clock" ||
-      scenario == "rw-sliced" || scenario == "rw-mmt") {
-    return run_register(scenario, args);
+  try {
+    if (scenario == "queue") return run_queue(args);
+    if (scenario == "flood") return run_flood(args);
+    if (scenario == "rw-timed" || scenario == "rw-clock" ||
+        scenario == "rw-sliced" || scenario == "rw-mmt") {
+      return run_register(scenario, args);
+    }
+  } catch (const CheckError& e) {
+    std::cerr << "psc-sim: " << e.what() << "\n";
+    return 2;
   }
   std::cerr << "unknown scenario: " << scenario << "\n";
   return 2;
