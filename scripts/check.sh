@@ -27,6 +27,10 @@
 #      decoded window through psc-lint — all under ASan+UBSan, so the
 #      record path, the snapshot codec, and the decoder are
 #      sanitizer-clean and the recorded window lints like a live trace.
+#   6b. input mutation lane: seeded byte/line mutants of a corpus the
+#      tools emit (flight snapshot, text and JSONL traces, sweep cfg) fed to
+#      psc-flight, psc-lint and psc-report under ASan+UBSan; any signal or
+#      sanitizer report fails the lane.
 #   7. microprofiler overhead gate: the capped machine sweep with the
 #      sampling profiler attached, in a separate *plain* RelWithDebInfo
 #      build (build-bench-prof) — timing under sanitizers is meaningless.
@@ -198,6 +202,29 @@ mkdir -p "$FLY_DIR"
   --out="$FLY_DIR/flood_flight.jsonl"
 "$BUILD_DIR"/tools/psc-lint --trace="$FLY_DIR/flood_flight.jsonl" \
   --d1_us=20 --d2_us=300 --nodes=4
+
+# --- lane 6b: input mutation ---------------------------------------------------
+
+# Every reader of external bytes answers malformed input with a diagnostic
+# and a nonzero exit. Seed a corpus from the tools' own output (a flight
+# snapshot, a text trace, a JSONL trace, and a one-cell sweep cfg), then feed
+# psc-flight, psc-lint --trace= and psc-report a fixed number of seeded
+# byte/line mutants under ASan+UBSan; any signal or sanitizer report fails
+# the lane (scripts/mutate_inputs.py). Failing mutants are kept in the
+# corpus dir for replay.
+MUT_DIR="$BUILD_DIR/mutate"
+rm -rf "$MUT_DIR"
+mkdir -p "$MUT_DIR"
+"$BUILD_DIR"/tools/psc-sim flood --nodes=8 --flight="$MUT_DIR/flood.fly" \
+  >/dev/null
+"$BUILD_DIR"/tools/psc-sim flood --nodes=8 --trace="$MUT_DIR/flood.txt" \
+  >/dev/null
+"$BUILD_DIR"/tools/psc-sim rw-clock --nodes=3 --ops=10 \
+  --trace="$MUT_DIR/rw.jsonl" >/dev/null
+sed -e 's/^ops_per_node = .*/ops_per_node = 5/' -e 's/^algos = .*/algos = S/' \
+  -e 's/^seeds = .*/seeds = 1/' configs/rw_sweep_smoke.cfg >"$MUT_DIR/sweep.cfg"
+python3 scripts/mutate_inputs.py --tools "$BUILD_DIR/tools" \
+  --corpus "$MUT_DIR" --seed 1 --mutants 240
 
 # --- lane 7: microprofiler overhead gate --------------------------------------
 

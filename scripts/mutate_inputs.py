@@ -1,0 +1,141 @@
+#!/usr/bin/env python3
+"""Seeded input mutator for the tools' external-input readers.
+
+    python3 scripts/mutate_inputs.py --tools BUILD/tools --corpus DIR \
+        --seed N --mutants M
+
+Every reader of external bytes must answer a malformed input with a
+diagnostic and a nonzero exit, never with a signal or a sanitizer report.
+This script takes a corpus the tools emit themselves and feeds each tool M
+seeded mutants of its input, round-robin:
+
+    DIR/flood.fly     psc-flight (snapshot decoder)     byte mutations
+    DIR/flood.txt     psc-lint --trace= (text trace)     line + byte mutations
+    DIR/rw.jsonl      psc-lint --trace= (JSONL trace)    line + byte mutations
+    DIR/sweep.cfg     psc-report --sweep= (sweep cfg)    line + byte mutations
+
+A run fails the script when the tool dies by a signal (an uncaught
+CheckError ends in SIGABRT), exits with the sanitizer exit code, or prints
+a sanitizer report. Any other exit status is an answer. A run that exceeds
+--timeout seconds is reported and counted but does not fail: a mutated
+number can legally ask for a very large run. The mutant that failed is kept
+next to the corpus as failure-<n>.<ext> so it can be replayed by hand.
+"""
+
+import argparse
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+SANITIZER_EXIT = 86
+SANITIZER_MARKERS = (b"AddressSanitizer", b"LeakSanitizer",
+                     b"runtime error:", b"UndefinedBehaviorSanitizer")
+
+
+def mutate_bytes(data, rng):
+    """1-6 byte-level edits: overwrite, bit flip, insert, delete, truncate."""
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 6)):
+        op = rng.randrange(5)
+        pos = rng.randrange(len(out) + 1)
+        if op == 0 and pos < len(out):
+            out[pos] = rng.randrange(256)
+        elif op == 1 and pos < len(out):
+            out[pos] ^= 1 << rng.randrange(8)
+        elif op == 2:
+            out[pos:pos] = bytes([rng.choice(b"0123456789-.,:{}\"\n \x00\xff")])
+        elif op == 3 and pos < len(out):
+            del out[pos]
+        elif op == 4 and rng.random() < 0.2:
+            del out[pos:]
+    return bytes(out)
+
+
+def mutate_lines(data, rng):
+    """A line edit (drop, duplicate, swap, truncate) plus byte edits."""
+    lines = data.split(b"\n")
+    op = rng.randrange(4)
+    i = rng.randrange(len(lines))
+    j = rng.randrange(len(lines))
+    if op == 0:
+        del lines[i]
+    elif op == 1:
+        lines.insert(j, lines[i])
+    elif op == 2:
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        lines[i] = lines[i][:rng.randrange(len(lines[i]) + 1)]
+    return mutate_bytes(b"\n".join(lines), rng) if rng.random() < 0.7 \
+        else b"\n".join(lines)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--tools", required=True, type=Path)
+    ap.add_argument("--corpus", required=True, type=Path)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--mutants", type=int, default=200)
+    ap.add_argument("--timeout", type=float, default=60.0)
+    args = ap.parse_args()
+
+    lint_bounds = ["--d1_us=20", "--d2_us=300", "--eps_us=50"]
+    targets = [
+        ("flood.fly", mutate_bytes,
+         lambda p: [args.tools / "psc-flight", p, "--jsonl", "--normalize"]),
+        ("flood.txt", mutate_lines,
+         lambda p: [args.tools / "psc-lint", f"--trace={p}", *lint_bounds,
+                    "--nodes=8"]),
+        ("rw.jsonl", mutate_lines,
+         lambda p: [args.tools / "psc-lint", f"--trace={p}", *lint_bounds,
+                    "--nodes=3"]),
+        ("sweep.cfg", mutate_lines,
+         lambda p: [args.tools / "psc-report", f"--sweep={p}", "--quiet"]),
+    ]
+    env = dict(os.environ)
+    env["ASAN_OPTIONS"] = f"exitcode={SANITIZER_EXIT}:" + \
+        env.get("ASAN_OPTIONS", "")
+    env["UBSAN_OPTIONS"] = f"exitcode={SANITIZER_EXIT}:print_stacktrace=1:" + \
+        env.get("UBSAN_OPTIONS", "")
+
+    rng = random.Random(args.seed)
+    seeds = {name: (args.corpus / name).read_bytes() for name, _, _ in targets}
+    work = args.corpus / "mutants"
+    work.mkdir(exist_ok=True)
+    failures = timeouts = 0
+    answers = {}
+    for n in range(args.mutants):
+        name, mutate, command = targets[n % len(targets)]
+        mutant = work / f"mutant{Path(name).suffix}"
+        mutant.write_bytes(mutate(seeds[name], rng))
+        cmd = [str(c) for c in command(mutant)]
+        try:
+            proc = subprocess.run(cmd, stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.PIPE, env=env,
+                                  timeout=args.timeout)
+        except subprocess.TimeoutExpired:
+            timeouts += 1
+            print(f"mutant {n} ({name}): timed out after {args.timeout} s",
+                  file=sys.stderr)
+            continue
+        report = any(m in proc.stderr for m in SANITIZER_MARKERS)
+        if proc.returncode < 0 or proc.returncode == SANITIZER_EXIT or report:
+            failures += 1
+            kept = args.corpus / f"failure-{n}{Path(name).suffix}"
+            kept.write_bytes(mutant.read_bytes())
+            print(f"FAILED mutant {n} ({name}): exit {proc.returncode}, "
+                  f"kept as {kept}\n  {' '.join(cmd)}\n"
+                  + proc.stderr.decode(errors="replace")[-2000:],
+                  file=sys.stderr)
+        key = (name, proc.returncode)
+        answers[key] = answers.get(key, 0) + 1
+    summary = ", ".join(f"{name} exit {code}: {count}"
+                        for (name, code), count in sorted(answers.items()))
+    print(f"mutate_inputs: {args.mutants} mutants, {failures} failed, "
+          f"{timeouts} timed out ({summary})")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -67,58 +67,27 @@ void FloodNode::apply_input(const Action& a, Time /*now*/) {
 }
 
 std::vector<Action> FloodNode::enabled(Time now) const {
-  std::vector<Action> out;
-  const int i = params_.node;
-  for (const std::int64_t p : to_deliver_) {
-    out.push_back(make_action("DELIVER", i, {Value{p}}));
-  }
-  for (const std::int64_t p : due_waves(now)) {
-    out.push_back(make_action("DELIVER", i, {Value{p}}));
-  }
-  for (const Relay& r : relays_) {
-    for (int j : r.targets) {
-      out.push_back(make_send(i, j, make_message("FLOOD", {Value{r.payload}})));
-    }
-  }
-  if (params_.source && !announced_ && now >= complete_at()) {
-    out.push_back(make_action("COMPLETE", i));
-  }
-  return out;
+  return collect(now);
 }
 
-void FloodNode::enabled_into(Time now, std::vector<Action>& out) const {
-  // Same sequence as enabled(), built into recycled slots. All the action
-  // and message names here fit in std::string's inline buffer and the args /
-  // payload vectors are resized in place, so a node's steady-state re-poll
-  // allocates nothing. SENDMSG slots still draw a fresh uid per enumeration,
-  // exactly like make_message: uids must stay unique per send actually
-  // executed, and the channel captures the uid of the poll it consumes.
-  std::size_t k = 0;
+void FloodNode::enabled_into(Time now, ActionCursor& out) const {
+  // All the action and message names here fit in std::string's inline
+  // buffer and the args / payload vectors are resized in place, so a node's
+  // steady-state re-poll allocates nothing. SENDMSG slots draw a fresh uid
+  // per enumeration, exactly like make_message: uids must stay unique per
+  // send actually executed, and the channel captures the uid of the poll it
+  // consumes.
   const int i = params_.node;
-  const auto slot = [&out, &k]() -> Action& {
-    if (k == out.size()) out.emplace_back();
-    return out[k++];
-  };
   const auto put_deliver = [&](std::int64_t p) {
-    Action& a = slot();
-    a.name.assign("DELIVER");
-    a.node = i;
-    a.peer = kNoNode;
+    Action& a = out.put("DELIVER", i);
     a.args.resize(1);
     a.args[0] = Value{p};
-    a.msg.reset();
   };
   for (const std::int64_t p : to_deliver_) put_deliver(p);
   for (const std::int64_t p : due_waves(now)) put_deliver(p);
   for (const Relay& r : relays_) {
     for (int j : r.targets) {
-      Action& a = slot();
-      a.name.assign("SENDMSG");
-      a.node = i;
-      a.peer = j;
-      a.args.clear();
-      if (!a.msg.has_value()) a.msg.emplace();
-      Message& m = *a.msg;
+      Message& m = out.put_msg("SENDMSG", i, j);
       m.kind.assign("FLOOD");
       m.fields.resize(1);
       m.fields[0] = Value{r.payload};
@@ -127,14 +96,8 @@ void FloodNode::enabled_into(Time now, std::vector<Action>& out) const {
     }
   }
   if (params_.source && !announced_ && now >= complete_at()) {
-    Action& a = slot();
-    a.name.assign("COMPLETE");
-    a.node = i;
-    a.peer = kNoNode;
-    a.args.clear();
-    a.msg.reset();
+    out.put("COMPLETE", i);
   }
-  out.resize(k);
 }
 
 void FloodNode::apply_local(const Action& a, Time now) {

@@ -123,40 +123,15 @@ void Channel::apply_input(const Action& a, Time t) {
   ++stats_.sent;
 }
 
-std::vector<Action> Channel::enabled(Time t) const {
-  std::vector<Action> out;
-  for (const auto& f : buffer_) {
-    if (f.deliver_at <= t) {
-      // Figure 1 precondition: t in [sent+d1, sent+d2]; deliver_at was
-      // sampled inside that window and upper_bound() stops time at it.
-      out.push_back(make_recv(j_, i_, f.msg, recv_name_.c_str()));
-    }
-  }
-  return out;
-}
+std::vector<Action> Channel::enabled(Time t) const { return collect(t); }
 
-void Channel::enabled_into(Time t, std::vector<Action>& out) const {
-  // Same sequence as enabled(), built into recycled slots: in the steady
-  // state a channel's due set has a stable size, so the RECVMSG name, the
-  // args vector and the Message payload buffers are all reused in place and
-  // the scheduler's re-poll performs no allocation.
-  std::size_t k = 0;
+void Channel::enabled_into(Time t, ActionCursor& out) const {
   for (const auto& f : buffer_) {
-    if (f.deliver_at <= t) {
-      if (k == out.size()) out.emplace_back();
-      Action& a = out[k++];
-      a.name.assign(recv_name_);
-      a.node = j_;
-      a.peer = i_;
-      a.args.clear();
-      if (a.msg.has_value()) {
-        *a.msg = f.msg;  // Message copy-assign reuses kind/fields capacity
-      } else {
-        a.msg = f.msg;
-      }
-    }
+    // Figure 1 precondition: t in [sent+d1, sent+d2]; deliver_at was
+    // sampled inside that window and upper_bound() stops time at it. The
+    // copy-assign reuses the slot's kind/fields capacity.
+    if (f.deliver_at <= t) out.put_msg(recv_name_, j_, i_) = f.msg;
   }
-  out.resize(k);
 }
 
 void Channel::apply_local(const Action& a, Time t) {

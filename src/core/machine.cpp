@@ -16,6 +16,18 @@ const char* to_string(ActionRole role) {
   return "?";
 }
 
+void Machine::enabled_into(Time t, ActionCursor& out) const {
+  for (Action& a : enabled(t)) out.next() = std::move(a);
+}
+
+std::vector<Action> Machine::collect(Time t) const {
+  std::vector<Action> out;
+  ActionCursor cursor(out);
+  enabled_into(t, cursor);
+  cursor.trim();
+  return out;
+}
+
 void SignatureDecl::add(std::string name, int node, int peer,
                         ActionRole role) {
   entries_.push_back(Entry{std::move(name), node, peer, role});

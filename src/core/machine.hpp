@@ -22,6 +22,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/action.hpp"
@@ -98,6 +99,51 @@ struct ModelTraits {
   Duration step_ell = -1;
 };
 
+// A write cursor over a recycled candidate vector. Each next() hands out
+// the next slot — reusing whatever Action (and heap blocks) a previous
+// enumeration left there, or appending a default one — and trim() drops the
+// slots nobody took. Slots carry stale contents: see
+// Machine::enabled_into for what a writer must set.
+class ActionCursor {
+ public:
+  explicit ActionCursor(std::vector<Action>& out) : out_(out) {}
+
+  Action& next() {
+    if (taken_ == out_.size()) out_.emplace_back();
+    return out_[taken_++];
+  }
+  // The next slot as name_node (or name_node(peer, ...)) with no args and no
+  // message; the caller may add args.
+  Action& put(std::string_view name, int node, int peer = kNoNode) {
+    Action& a = next();
+    a.name.assign(name);
+    a.node = node;
+    a.peer = peer;
+    a.args.clear();
+    a.msg.reset();
+    return a;
+  }
+  // The next slot as name_node(peer, m) with no args; returns the engaged
+  // message, whose every field (kind, fields, uid, clock_tag) the caller
+  // sets.
+  Message& put_msg(std::string_view name, int node, int peer) {
+    Action& a = next();
+    a.name.assign(name);
+    a.node = node;
+    a.peer = peer;
+    a.args.clear();
+    if (!a.msg.has_value()) a.msg.emplace();
+    return *a.msg;
+  }
+
+  // Ends the enumeration: the vector holds exactly the slots taken.
+  void trim() { out_.resize(taken_); }
+
+ private:
+  std::vector<Action>& out_;
+  std::size_t taken_ = 0;
+};
+
 class Machine {
  public:
   explicit Machine(std::string name) : name_(std::move(name)) {}
@@ -128,16 +174,29 @@ class Machine {
   // Locally controlled actions whose preconditions hold at time t.
   virtual std::vector<Action> enabled(Time t) const = 0;
 
-  // Allocation-aware variant: overwrite `out` with exactly what enabled(t)
-  // would return. The executor re-polls through this so machines can recycle
-  // the candidate buffer's heap blocks (strings, arg vectors, message
-  // fields) across polls instead of rebuilding them — the scheduler's
-  // steady state then performs no malloc/free per event. The default
-  // forwards to enabled(); overriders must produce the identical sequence
-  // (the adversary's pick order depends on it).
-  virtual void enabled_into(Time t, std::vector<Action>& out) const {
-    out = enabled(t);
-  }
+  // The enumeration behind enabled(), written through a recycled-slot
+  // cursor (see ActionCursor): the executor re-polls through this, so
+  // machines that override it rebuild their candidates in the heap blocks
+  // (strings, arg vectors, message fields) of the previous poll and the
+  // steady state performs no malloc/free per event. Wrappers forward the
+  // same cursor to their members, so enumerations nest without scratch
+  // vectors. The default appends enabled(t).
+  //
+  // An overrider makes this the single enumeration: its enabled() is
+  // collect(t), so the two cannot diverge (the adversary's pick order and
+  // the legacy scan both depend on the sequence). Every slot taken from the
+  // cursor holds stale contents — a writer sets every field of it (name,
+  // node, peer, args, and msg: engaged with every Message field set, or
+  // reset). A slot that carries a new message draws next_message_uid() on
+  // every enumeration, exactly as make_message would.
+  virtual void enabled_into(Time t, ActionCursor& out) const;
+
+  // Whether the machine is known to have nothing to say: enabled() is empty
+  // and upper_bound/next_enabled are kTimeMax at every t until its next
+  // apply_input. A composite skips idle members when it enumerates and
+  // takes bounds, so returning true in any other state changes behaviour;
+  // false (the default) is always safe.
+  virtual bool idle() const { return false; }
 
   // Effect of a locally controlled action previously reported by enabled().
   virtual void apply_local(const Action& a, Time t) = 0;
@@ -179,6 +238,9 @@ class Machine {
  protected:
   // See clock_reading(): pair with overriding it.
   void set_clocked(bool v) { clocked_ = v; }
+  // enabled(t) for machines that override enabled_into: the enumeration
+  // collected into a fresh vector.
+  std::vector<Action> collect(Time t) const;
 
  private:
   std::string name_;

@@ -40,21 +40,20 @@ void MmtNode::catch_up(Time t) {
   const Time target = mmtclock_;
   while (simclock_ <= target) {
     // Drain actions enabled at the current simulated clock.
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      auto acts = inner_->enabled(simclock_);
-      if (acts.empty()) break;
+    for (;;) {
+      ActionCursor cursor(scratch_);
+      inner_->enabled_into(simclock_, cursor);
+      cursor.trim();
+      if (scratch_.empty()) break;
       // Deterministic order: as reported. Applying one action can change
       // the enabled set, so take only the first and re-query.
-      Action a = std::move(acts.front());
+      const Action& a = scratch_.front();
       const ActionRole role = inner_->classify(a);
       inner_->apply_local(a, simclock_);
       if (role == ActionRole::kOutput) {
-        pending_.push_back({std::move(a), t});
+        pending_.push_back({std::move(scratch_.front()), t});
         stats_.max_pending = std::max(stats_.max_pending, pending_.size());
       }
-      progressed = true;
     }
     const Time nxt = inner_->next_enabled(simclock_);
     if (nxt > target) break;
@@ -78,16 +77,16 @@ void MmtNode::apply_input(const Action& a, Time t) {
   inner_->apply_input(a, simclock_);
 }
 
-std::vector<Action> MmtNode::enabled(Time t) const {
-  std::vector<Action> out;
+std::vector<Action> MmtNode::enabled(Time t) const { return collect(t); }
+
+void MmtNode::enabled_into(Time t, ActionCursor& out) const {
   if (t >= next_step_) {
     if (!pending_.empty()) {
-      out.push_back(pending_.front().action);
+      out.next() = pending_.front().action;  // copy-assign sets every field
     } else {
-      out.push_back(make_action("MMTSTEP", node_));
+      out.put("MMTSTEP", node_);
     }
   }
-  return out;
 }
 
 void MmtNode::apply_local(const Action& a, Time t) {

@@ -58,6 +58,7 @@ class MmtNode final : public Machine {
   ActionRole classify(const Action& a) const override;
   void apply_input(const Action& a, Time t) override;
   std::vector<Action> enabled(Time t) const override;
+  void enabled_into(Time t, ActionCursor& out) const override;
   void apply_local(const Action& a, Time t) override;
   Time upper_bound(Time t) const override;
   Time next_enabled(Time t) const override;
@@ -97,6 +98,7 @@ class MmtNode final : public Machine {
   Time mmtclock_ = 0;
   Time next_step_;
   std::deque<PendingOutput> pending_;
+  std::vector<Action> scratch_;  // catch_up's recycled poll of inner_
   MmtNodeStats stats_;
 };
 

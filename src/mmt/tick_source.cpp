@@ -41,13 +41,14 @@ void TickSource::apply_input(const Action& a, Time /*t*/) {
   PSC_CHECK(false, "TickSource has no inputs: " << to_string(a));
 }
 
-std::vector<Action> TickSource::enabled(Time t) const {
-  std::vector<Action> out;
+std::vector<Action> TickSource::enabled(Time t) const { return collect(t); }
+
+void TickSource::enabled_into(Time t, ActionCursor& out) const {
   if (t >= next_tick_) {
-    out.push_back(
-        make_action("TICK", node_, {Value{traj_->clock_at(t)}}));
+    Action& a = out.put("TICK", node_);
+    a.args.resize(1);
+    a.args[0] = Value{traj_->clock_at(t)};
   }
-  return out;
 }
 
 void TickSource::apply_local(const Action& /*a*/, Time t) {

@@ -1,5 +1,6 @@
 #include "obs/flight.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <istream>
@@ -35,8 +36,27 @@ T get_raw(std::istream& is) {
   return v;
 }
 
-Value decode_value(const FlightSnapshot& snap, std::uint8_t tag,
-                   std::int64_t slot) {
+// Reads `count` raw elements into `out`, growing it in bounded chunks as the
+// bytes arrive: a corrupt count fails as a truncated section after costing
+// at most what the stream holds, never an up-front multi-GB allocation.
+template <typename Container>
+void get_array(std::istream& is, std::uint64_t count, Container& out,
+               const char* section) {
+  using T = typename Container::value_type;
+  constexpr std::uint64_t kChunk = (std::uint64_t{1} << 16) / sizeof(T);
+  out.clear();
+  while (out.size() < count) {
+    const std::size_t at = out.size();
+    const auto n = static_cast<std::size_t>(std::min(kChunk, count - at));
+    out.resize(at + n);
+    is.read(reinterpret_cast<char*>(out.data() + at),
+            static_cast<std::streamsize>(n * sizeof(T)));
+    PSC_CHECK(is.good(), "flight snapshot: truncated " << section);
+  }
+}
+
+Value decode_value(const FlightSnapshot& snap, std::size_t record,
+                   std::uint8_t tag, std::int64_t slot) {
   switch (tag) {
     case FlightRecord::kInt:
       return Value{slot};
@@ -45,7 +65,8 @@ Value decode_value(const FlightSnapshot& snap, std::uint8_t tag,
     case FlightRecord::kString: {
       const auto id = static_cast<std::uint64_t>(slot);
       PSC_CHECK(id < snap.strings.size(),
-                "flight snapshot: string id " << id << " out of range");
+                "flight snapshot: record " << record << ": string id " << id
+                                           << " out of range");
       return Value{snap.strings[static_cast<std::size_t>(id)]};
     }
     default:
@@ -149,15 +170,13 @@ FlightSnapshot read_snapshot(std::istream& is) {
   constexpr std::uint64_t kSane = std::uint64_t{1} << 32;
   PSC_CHECK(n_strings < kSane && n_kinds < kSane && n_records < kSane,
             "flight snapshot: implausible table sizes");
-  snap.strings.reserve(static_cast<std::size_t>(n_strings));
+  // The tables grow as entries arrive (no reserve by the header's counts),
+  // so a corrupt count is a truncation error, not an allocation failure.
   for (std::uint64_t i = 0; i < n_strings; ++i) {
-    const auto len = get_raw<std::uint32_t>(is);
-    std::string s(len, '\0');
-    is.read(s.data(), len);
-    PSC_CHECK(is.good(), "flight snapshot: truncated string table");
+    std::string s;
+    get_array(is, get_raw<std::uint32_t>(is), s, "string table");
     snap.strings.push_back(std::move(s));
   }
-  snap.kinds.reserve(static_cast<std::size_t>(n_kinds));
   for (std::uint64_t i = 0; i < n_kinds; ++i) {
     FlightSnapshot::Kind k;
     k.name_id = get_raw<std::uint32_t>(is);
@@ -170,20 +189,29 @@ FlightSnapshot read_snapshot(std::istream& is) {
     is.read(pad, 3);
     snap.kinds.push_back(k);
   }
-  snap.records.resize(static_cast<std::size_t>(n_records));
-  is.read(reinterpret_cast<char*>(snap.records.data()),
-          static_cast<std::streamsize>(n_records * sizeof(FlightRecord)));
-  PSC_CHECK(is.good(), "flight snapshot: truncated record section");
+  get_array(is, n_records, snap.records, "record section");
   return snap;
 }
 
 TimedTrace decode_snapshot(const FlightSnapshot& snap) {
   TimedTrace out;
   out.reserve(snap.records.size());
-  for (const FlightRecord& r : snap.records) {
+  for (std::size_t idx = 0; idx < snap.records.size(); ++idx) {
+    const FlightRecord& r = snap.records[idx];
     PSC_CHECK(r.kind < snap.kinds.size(),
-              "flight snapshot: record kind " << r.kind << " out of range");
+              "flight snapshot: record " << idx << ": kind " << r.kind
+                                         << " out of range");
+    PSC_CHECK(r.nargs <= FlightRecord::kSlots && r.nfields <= FlightRecord::kSlots,
+              "flight snapshot: record " << idx << ": "
+                                         << static_cast<int>(r.nargs)
+                                         << " args / "
+                                         << static_cast<int>(r.nfields)
+                                         << " fields exceed the "
+                                         << FlightRecord::kSlots << " slots");
     const FlightSnapshot::Kind& k = snap.kinds[r.kind];
+    PSC_CHECK(k.name_id < snap.strings.size(),
+              "flight snapshot: record " << idx << ": kind name id "
+                                         << k.name_id << " out of range");
     TimedEvent e;
     e.time = r.time;
     e.clock = r.clock;
@@ -194,18 +222,21 @@ TimedTrace decode_snapshot(const FlightSnapshot& snap) {
     e.action.peer = k.peer;
     e.action.args.reserve(r.nargs);
     for (std::size_t i = 0; i < r.nargs; ++i) {
-      e.action.args.push_back(decode_value(snap, r.arg_tag[i], r.arg[i]));
+      e.action.args.push_back(
+          decode_value(snap, idx, r.arg_tag[i], r.arg[i]));
     }
     if ((r.flags & FlightRecord::kHasMsg) != 0) {
       Message m;
       PSC_CHECK(r.mkind < snap.strings.size(),
-                "flight snapshot: message kind id out of range");
+                "flight snapshot: record " << idx << ": message kind id "
+                                           << r.mkind << " out of range");
       m.kind = snap.strings[r.mkind];
       m.uid = r.uid;
       m.clock_tag = r.tag;
       m.fields.reserve(r.nfields);
       for (std::size_t i = 0; i < r.nfields; ++i) {
-        m.fields.push_back(decode_value(snap, r.field_tag[i], r.field[i]));
+        m.fields.push_back(
+            decode_value(snap, idx, r.field_tag[i], r.field[i]));
       }
       e.action.msg = std::move(m);
     }

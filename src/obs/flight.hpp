@@ -331,6 +331,8 @@ FlightSnapshot read_snapshot(std::istream& is);
 // ring that never evicted, trace_to_text(decode(snap)) is byte-identical to
 // the live probe stream. Records flagged kOverflow (> kSlots args/fields)
 // decode truncated; flight_test pins the shipped workloads well below that.
+// Throws CheckError naming the record index on a malformed record (kind or
+// string id out of range, more than kSlots args/fields).
 TimedTrace decode_snapshot(const FlightSnapshot& snap);
 
 // --- the recorder ----------------------------------------------------------

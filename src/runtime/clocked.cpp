@@ -27,7 +27,11 @@ void ClockedMachine::apply_input(const Action& a, Time t) {
 }
 
 std::vector<Action> ClockedMachine::enabled(Time t) const {
-  return inner_->enabled(traj_->clock_at(t));
+  return collect(t);
+}
+
+void ClockedMachine::enabled_into(Time t, ActionCursor& out) const {
+  inner_->enabled_into(traj_->clock_at(t), out);
 }
 
 void ClockedMachine::apply_local(const Action& a, Time t) {

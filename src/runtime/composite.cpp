@@ -12,6 +12,7 @@ CompositeMachine::CompositeMachine(std::string name)
 void CompositeMachine::add(std::unique_ptr<Machine> member) {
   PSC_CHECK(member != nullptr, "null member");
   members_.push_back(std::move(member));
+  busy_.push_back(members_.back()->idle() ? 0 : 1);
 }
 
 void CompositeMachine::hide(const std::string& action_name) {
@@ -112,19 +113,22 @@ bool CompositeMachine::declare_signature(SignatureDecl& decl) const {
 }
 
 void CompositeMachine::apply_input(const Action& a, Time t) {
-  for (const auto& m : members_) {
-    if (m->classify(a) == ActionRole::kInput) m->apply_input(a, t);
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    if (members_[i]->classify(a) == ActionRole::kInput) {
+      members_[i]->apply_input(a, t);
+      refresh(i);
+    }
   }
 }
 
 std::vector<Action> CompositeMachine::enabled(Time t) const {
-  std::vector<Action> out;
-  for (const auto& m : members_) {
-    auto acts = m->enabled(t);
-    out.insert(out.end(), std::make_move_iterator(acts.begin()),
-               std::make_move_iterator(acts.end()));
+  return collect(t);
+}
+
+void CompositeMachine::enabled_into(Time t, ActionCursor& out) const {
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    if (busy_[i]) members_[i]->enabled_into(t, out);
   }
-  return out;
 }
 
 void CompositeMachine::apply_local(const Action& a, Time t) {
@@ -132,6 +136,7 @@ void CompositeMachine::apply_local(const Action& a, Time t) {
     const ActionRole r = members_[i]->classify(a);
     if (r == ActionRole::kOutput || r == ActionRole::kInternal) {
       members_[i]->apply_local(a, t);
+      refresh(i);
       if (r == ActionRole::kOutput) route_internally(i, a, t);
       return;
     }
@@ -146,19 +151,24 @@ void CompositeMachine::route_internally(std::size_t owner, const Action& a,
     if (i == owner) continue;
     if (members_[i]->classify(a) == ActionRole::kInput) {
       members_[i]->apply_input(a, t);
+      refresh(i);
     }
   }
 }
 
 Time CompositeMachine::upper_bound(Time t) const {
   Time ub = kTimeMax;
-  for (const auto& m : members_) ub = std::min(ub, m->upper_bound(t));
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    if (busy_[i]) ub = std::min(ub, members_[i]->upper_bound(t));
+  }
   return ub;
 }
 
 Time CompositeMachine::next_enabled(Time t) const {
   Time ne = kTimeMax;
-  for (const auto& m : members_) ne = std::min(ne, m->next_enabled(t));
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    if (busy_[i]) ne = std::min(ne, members_[i]->next_enabled(t));
+  }
   return ne;
 }
 

@@ -12,8 +12,16 @@
 // reported as internal to the outside; all other member outputs are
 // composite outputs (and are *also* routed internally if another member
 // inputs them).
+//
+// Most members of a node are idle at any instant (a Sim-1 node's send and
+// receive buffers are empty ~all the time). The composite keeps a busy flag
+// per member — !idle(), refreshed after every input or local step it
+// applies to that member — and skips idle members when it enumerates and
+// takes bounds. An idle member contributes nothing to any of the three, so
+// results are those of the full walk.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <unordered_set>
 #include <vector>
@@ -31,7 +39,9 @@ class CompositeMachine : public Machine {
   // Hide an action name inside the composite (output -> internal).
   void hide(const std::string& action_name);
 
-  // Access to members for inspection in tests (index = add order).
+  // Access to members for inspection in tests (index = add order). Mutating
+  // a member's state through the non-const overload bypasses the busy-flag
+  // refresh: a member that leaves idle() that way stays skipped.
   Machine& member(std::size_t idx);
   const Machine& member(std::size_t idx) const;
   std::size_t size() const { return members_.size(); }
@@ -46,6 +56,8 @@ class CompositeMachine : public Machine {
   bool declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
   std::vector<Action> enabled(Time t) const override;
+  // Each busy member writes into the same cursor, in add order.
+  void enabled_into(Time t, ActionCursor& out) const override;
   void apply_local(const Action& a, Time t) override;
   Time upper_bound(Time t) const override;
   Time next_enabled(Time t) const override;
@@ -59,8 +71,10 @@ class CompositeMachine : public Machine {
   // Routes an already-applied local action of member `owner` to other
   // members that input it.
   void route_internally(std::size_t owner, const Action& a, Time t);
+  void refresh(std::size_t idx) { busy_[idx] = !members_[idx]->idle(); }
 
   std::vector<std::unique_ptr<Machine>> members_;
+  std::vector<std::uint8_t> busy_;  // per member: !idle() after its last step
   std::unordered_set<std::string> hidden_;
 };
 

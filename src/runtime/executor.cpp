@@ -240,7 +240,9 @@ void Executor::flush_dirty() {
     in_dirty_[m] = 0;
     std::vector<Action>& c = cands_[m];
     total_cands_ -= c.size();
-    machines_[m]->enabled_into(now_, c);
+    ActionCursor cursor(c);
+    machines_[m]->enabled_into(now_, cursor);
+    cursor.trim();
     total_cands_ += c.size();
     cand_count_[m] = static_cast<std::uint32_t>(c.size());
     if (c.empty()) {

@@ -20,8 +20,8 @@
 // and outputs are routed through a subscription index over interned action
 // kinds instead of calling classify() on every machine. Per-machine state
 // lives in parallel arrays (structure-of-arrays) sized once at add() time,
-// and candidate buffers are recycled through Machine::enabled_into, so the
-// steady state allocates nothing per event. Seed-for-seed the wheel loop
+// and candidate buffers are recycled through Machine::enabled_into's slot
+// cursor, so the steady state allocates nothing per event. Seed-for-seed the wheel loop
 // produces byte-identical traces and probe sequences to both the PR 2
 // heap-calendar loop (kept behind ExecutorOptions::heap_calendar) and the
 // legacy polling loop (ExecutorOptions::legacy_scan), which exist for A/B

@@ -86,7 +86,10 @@ bool RwAlgorithm::update_due(Time now) const {
 }
 
 std::vector<Action> RwAlgorithm::enabled(Time now) const {
-  std::vector<Action> out;
+  return collect(now);
+}
+
+void RwAlgorithm::enabled_into(Time now, ActionCursor& out) const {
   const int i = params_.node;
   // Deadlines use >= rather than Figure 3's exact equality: the executor
   // hits deadlines exactly in the timed model, but an integer-grid clock
@@ -95,28 +98,32 @@ std::vector<Action> RwAlgorithm::enabled(Time now) const {
   // discretization (identical in the continuous theory).
   //
   // UPDATE_i: an update record is due.
-  if (update_due(now)) {
-    out.push_back(make_action("UPDATE", i));
-  }
+  const bool update = update_due(now);
+  if (update) out.put("UPDATE", i);
   // RETURN_i(v): read due, and no update due at or before this time (they
   // must be applied first — the "∄ r.update-time = now" precondition).
-  if (read_.active && read_.time <= now && !update_due(now)) {
-    out.push_back(make_action("RETURN", i, {Value{value_}}));
+  if (read_.active && read_.time <= now && !update) {
+    Action& a = out.put("RETURN", i);
+    a.args.resize(1);
+    a.args[0] = Value{value_};
   }
   // ACK_i.
   if (write_.status == WriteStatus::kAck && write_.ack_time <= now) {
-    out.push_back(make_action("ACK", i));
+    out.put("ACK", i);
   }
-  // SENDMSG_i(j, UPDATE(v, t)) with t = send_time + d2'.
+  // SENDMSG_i(j, UPDATE(v, t)) with t = send_time + d2', each with a fresh
+  // uid as make_message would draw.
   if (write_.status == WriteStatus::kSend && write_.send_time <= now) {
     for (int j : write_.send_procs) {
-      Message m = make_message(
-          "UPDATE",
-          {Value{write_.send_value}, Value{write_.send_time + params_.d2_prime}});
-      out.push_back(make_send(i, j, std::move(m)));
+      Message& m = out.put_msg("SENDMSG", i, j);
+      m.kind.assign("UPDATE");
+      m.fields.resize(2);
+      m.fields[0] = Value{write_.send_value};
+      m.fields[1] = Value{write_.send_time + params_.d2_prime};
+      m.uid = next_message_uid();
+      m.clock_tag = kNoClockTag;
     }
   }
-  return out;
 }
 
 void RwAlgorithm::apply_local(const Action& a, Time now) {

@@ -51,6 +51,13 @@ class RwAlgorithm final : public Machine {
   bool declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time now) override;
   std::vector<Action> enabled(Time now) const override;
+  void enabled_into(Time now, ActionCursor& out) const override;
+  // Idle with no read active, no write in progress and no update pending:
+  // mintime is then kTimeMax until the next READ, WRITE or RECVMSG.
+  bool idle() const override {
+    return !read_.active && write_.status == WriteStatus::kInactive &&
+           updates_.empty();
+  }
   void apply_local(const Action& a, Time now) override;
   Time upper_bound(Time now) const override;
   Time next_enabled(Time now) const override;

@@ -37,13 +37,15 @@ void SendBuffer::apply_input(const Action& a, Time clock) {
 }
 
 std::vector<Action> SendBuffer::enabled(Time clock) const {
-  std::vector<Action> out;
+  return collect(clock);
+}
+
+void SendBuffer::enabled_into(Time clock, ActionCursor& out) const {
   if (!q_.empty() && q_.front().tag == clock) {
-    Message tagged = q_.front().msg;
-    tagged.clock_tag = q_.front().tag;
-    out.push_back(make_send(i_, j_, std::move(tagged), "ESENDMSG"));
+    Message& m = out.put_msg("ESENDMSG", i_, j_);
+    m = q_.front().msg;
+    m.clock_tag = q_.front().tag;
   }
-  return out;
 }
 
 void SendBuffer::apply_local(const Action& a, Time clock) {
@@ -102,16 +104,20 @@ std::size_t ReceiveBuffer::min_index() const {
 }
 
 std::vector<Action> ReceiveBuffer::enabled(Time clock) const {
-  std::vector<Action> out;
+  return collect(clock);
+}
+
+void ReceiveBuffer::enabled_into(Time clock, ActionCursor& out) const {
   if (!q_.empty()) {
     const auto& h = q_[min_index()];
     if (h.msg.clock_tag <= clock) {
-      Message stripped = h.msg;  // deliver m, not (m, c)
-      stripped.clock_tag = kNoClockTag;
-      out.push_back(make_recv(i_, j_, std::move(stripped), "RECVMSG"));
+      Message& m = out.put_msg("RECVMSG", i_, j_);
+      m.kind = h.msg.kind;
+      m.fields = h.msg.fields;
+      m.uid = h.msg.uid;
+      m.clock_tag = kNoClockTag;  // deliver m, not (m, c)
     }
   }
-  return out;
 }
 
 void ReceiveBuffer::apply_local(const Action& a, Time clock) {

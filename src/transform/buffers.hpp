@@ -38,6 +38,9 @@ class SendBuffer final : public Machine {
   bool declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time clock) override;
   std::vector<Action> enabled(Time clock) const override;
+  void enabled_into(Time clock, ActionCursor& out) const override;
+  // Idle while the queue is empty: nothing to forward, no bound.
+  bool idle() const override { return q_.empty(); }
   void apply_local(const Action& a, Time clock) override;
   Time upper_bound(Time clock) const override;
 
@@ -68,6 +71,9 @@ class ReceiveBuffer final : public Machine {
   bool declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time clock) override;
   std::vector<Action> enabled(Time clock) const override;
+  void enabled_into(Time clock, ActionCursor& out) const override;
+  // Idle while nothing is held: nothing to release, no bound.
+  bool idle() const override { return q_.empty(); }
   void apply_local(const Action& a, Time clock) override;
   Time upper_bound(Time clock) const override;
   Time next_enabled(Time clock) const override;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -18,6 +19,7 @@
 #include "runtime/system.hpp"
 #include "rw/harness.hpp"
 #include "rw/queue.hpp"
+#include "util/check.hpp"
 
 namespace psc {
 namespace {
@@ -75,6 +77,71 @@ TEST(FlightRecorderTest, SnapshotRoundTripsThroughFile) {
   EXPECT_EQ(normalized_text(decode_snapshot(snap)),
             normalized_text(run.events));
   std::remove(path.c_str());
+}
+
+// A snapshot read from disk is external input: every malformed record must
+// be a CheckError naming its index — never an abort, and never a read past
+// the record's kSlots value slots.
+TEST(FlightRecorderTest, MalformedRecordsAreDiagnosedByIndex) {
+  FloodRun run(1);
+  const FlightSnapshot good = run.rec.snapshot();
+  ASSERT_GT(good.records.size(), 4u);
+  const std::size_t last = good.records.size() - 1;
+  const auto expect_error = [&](FlightSnapshot snap, const std::string& what) {
+    try {
+      decode_snapshot(snap);
+      ADD_FAILURE() << "decoded a snapshot with " << what;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  };
+  FlightSnapshot snap = good;
+  snap.records[3].kind = static_cast<std::uint32_t>(snap.kinds.size());
+  expect_error(snap, "record 3: kind");
+  // nargs/nfields index fixed 4-slot arrays; the last record has nothing
+  // after it in the vector to absorb an overrun.
+  snap = good;
+  snap.records[last].nargs = 200;
+  expect_error(snap, "record " + std::to_string(last) + ": 200 args");
+  snap = good;
+  snap.records[last].flags |= FlightRecord::kHasMsg;
+  snap.records[last].mkind = 0;
+  snap.records[last].nfields = FlightRecord::kSlots + 1;
+  expect_error(snap, "record " + std::to_string(last) + ": ");
+  snap = good;
+  snap.records[2].nargs = 1;
+  snap.records[2].arg_tag[0] = FlightRecord::kString;
+  snap.records[2].arg[0] = 1 << 30;
+  expect_error(snap, "record 2: string id");
+}
+
+// Header counts and string lengths come from the file too: a corrupt one
+// must fail as a truncated section, not as a multi-GB allocation.
+TEST(FlightRecorderTest, CorruptTableCountsAreTruncationErrors) {
+  FloodRun run(1);
+  std::ostringstream os;
+  write_snapshot(os, run.rec.snapshot());
+  const std::string good = os.str();
+  const auto expect_truncated = [&](std::size_t offset, std::uint64_t value,
+                                    std::size_t width,
+                                    const std::string& section) {
+    std::string bytes = good;
+    std::memcpy(bytes.data() + offset, &value, width);
+    std::istringstream is(bytes);
+    try {
+      read_snapshot(is);
+      ADD_FAILURE() << "read a snapshot with a corrupt " << section;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated " + section),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  // Layout: magic(8) u32 u32 u64 total, dropped, n_strings, n_kinds,
+  // n_records; then the first string's u32 length at byte 56.
+  expect_truncated(48, std::uint64_t{1} << 31, 8, "record section");
+  expect_truncated(56, 0xfffffff0u, 4, "string table");
 }
 
 TEST(FlightRecorderTest, RwClockDecodeMatchesLiveTrace) {

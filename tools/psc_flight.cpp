@@ -71,15 +71,17 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Both the reader and the decoder reject malformed bytes with a
+  // CheckError naming what (and, when decoding, which record) is wrong.
   psc::FlightSnapshot snap;
+  psc::TimedTrace trace;
   try {
     snap = psc::read_snapshot(is);
+    trace = psc::decode_snapshot(snap);
   } catch (const psc::CheckError& e) {
     std::cerr << "psc-flight: " << in_path << ": " << e.what() << "\n";
     return 1;
   }
-
-  psc::TimedTrace trace = psc::decode_snapshot(snap);
   if (normalize) trace = psc::normalize_uids(std::move(trace));
 
   if (stats) {
