@@ -17,8 +17,8 @@
 // single-run timer-noise measurements.
 //
 // A second section sweeps the flood ring from 1k to 1M machines on the
-// wheel and heap calendars (legacy polling only up to kLegacySweepCap
-// machines — it is O(machines) per event) and gates on the wheel staying
+// wheel calendar (legacy polling only up to kLegacySweepCap machines — it
+// is O(machines) per event) and gates on the wheel staying
 // memory-flat: ns/event at 65,536 machines must be <= 2x its value at
 // 1,024. Each sweep cell also times assembly (add_timed_system, min of
 // repeats, reported per machine) and gates it linear: the largest cell
@@ -63,15 +63,13 @@ constexpr std::uint64_t kSeed = 42;
 // and will not hold the 10% overhead bar.
 std::uint32_t g_prof_sample = ProfOptions{}.sample_every;
 
-// The three scheduler arms (ExecutorOptions). "sched" rows time the
-// default wheel calendar; the sweep also times the heap calendar.
+// The two scheduler arms (ExecutorOptions): "sched" rows time the wheel
+// calendar, the default; legacy polling is the O(machines) baseline.
 struct SchedArm {
   bool legacy = false;
-  bool heap = false;
 };
-constexpr SchedArm kWheelArm{false, false};
-constexpr SchedArm kHeapArm{false, true};
-constexpr SchedArm kLegacyArm{true, false};
+constexpr SchedArm kWheelArm{false};
+constexpr SchedArm kLegacyArm{true};
 
 // Legacy polling is O(machines) per event; past this many machines one
 // sweep cell alone would take minutes, so the sweep drops that arm.
@@ -105,8 +103,7 @@ std::unique_ptr<Executor> build_flood(int n, SchedArm arm, int target_events,
                       // at 50M in run_sweep_cell.
                       .max_events = 100'000'000,
                       .record_events = false,
-                      .legacy_scan = arm.legacy,
-                      .heap_calendar = arm.heap});
+                      .legacy_scan = arm.legacy});
   const Graph g = Graph::ring(n);
   ChannelConfig cc;
   cc.d1 = microseconds(50);
@@ -128,8 +125,7 @@ std::unique_ptr<Executor> build_queue(int n, SchedArm arm) {
       ExecutorOptions{.horizon = seconds(30),
                       .seed = kSeed,
                       .record_events = false,
-                      .legacy_scan = arm.legacy,
-                      .heap_calendar = arm.heap});
+                      .legacy_scan = arm.legacy});
   Rng seeder(kSeed ^ 0x9c);
   for (int i = 0; i < n; ++i) {
     QueueClient::Options o;
@@ -345,7 +341,7 @@ struct Row {
   // much of the speedup comes from cache hits vs interned routing.
   double fast_path_rate = 0;
   double cache_hit_rate = 0;
-  std::uint64_t wake_stale_pops = 0;
+  double stale_drops_per_event = 0;  // wheel entries dropped as stale
   // PSC_LINT=1 arm: scheduler loop with an online InvariantProbe attached.
   double lint_ns = 0;        // 0 when the arm did not run
   double lint_overhead = 0;  // paired_overhead(): median within-repeat ratio
@@ -437,7 +433,9 @@ Row run_config(const std::string& workload, int n, int repeats,
   row.speedup = legacy.ns_per_event / sched.ns_per_event;
   row.fast_path_rate = sched.stats.fast_path_rate();
   row.cache_hit_rate = sched.stats.cache_hit_rate();
-  row.wake_stale_pops = sched.stats.wake_stale_pops;
+  row.stale_drops_per_event =
+      static_cast<double>(sched.stats.wheel.stale_drops) /
+      static_cast<double>(sched.events);
   if (lint_arm) {
     row.lint_ns = lint.ns_per_event;
     row.lint_overhead = paired_overhead(lint_r, sched_r);
@@ -473,17 +471,15 @@ Row run_config(const std::string& workload, int n, int repeats,
 // Flood over a ring of n nodes (2n machines): only the wavefront is active
 // at any instant, so per-event cost measures pure scheduler overhead as a
 // function of *registered* machines — exactly the memory-flatness claim.
-// The wheel and heap calendars run at every scale and must execute the
-// same number of events; legacy polling stops at kLegacySweepCap machines.
+// The wheel calendar runs at every scale; legacy polling stops at
+// kLegacySweepCap machines and must execute the same number of events.
 struct SweepRow {
   int nodes = 0;
   std::size_t machines = 0;
   std::size_t events = 0;
   double sched_ns = 0;   // wheel calendar (the default scheduler)
-  double heap_ns = 0;    // heap calendar (ExecutorOptions::heap_calendar)
-  // Assembly (add_timed_system through hide()), min over the wheel and
-  // heap arms' repeats (the two build identical systems) and
-  // kExtraAssembleSamples assembly-only builds.
+  // Assembly (add_timed_system through hide()), min over the wheel arm's
+  // repeats and repeats + kExtraAssembleSamples assembly-only builds.
   double assemble_ns = 0;
   double legacy_ns = 0;  // 0 when the arm was skipped (too many machines)
   // PSC_FLIGHT=1 arm: wheel calendar with the flight recorder on the
@@ -527,8 +523,8 @@ struct SweepRow {
   double lint_direct = 0;    // prof (kRecord + kLint) ns/event / baseline
 };
 
-// Assembly-only builds per sweep cell on top of the wheel and heap arms'
-// repeats (see run_sweep_cell).
+// Assembly-only builds per sweep cell on top of the wheel arm's repeats and
+// one more build per repeat (see run_sweep_cell).
 constexpr int kExtraAssembleSamples = 4;
 
 SweepRow run_sweep_cell(int n, int repeats, int target_events,
@@ -553,10 +549,9 @@ SweepRow run_sweep_cell(int n, int repeats, int target_events,
   FlightOptions fo;
   ProfOptions po;  // 1-in-64 default — what PSC_PROFILE=1 deploys
   po.sample_every = g_prof_sample;
-  Arm wheel, heap, legacy, flight, prof;
+  Arm wheel, legacy, flight, prof;
   for (int r = 0; r < repeats; ++r) {
     fold(wheel, measure_sample("flood", n, kWheelArm, cell_target));
-    fold(heap, measure_sample("flood", n, kHeapArm, cell_target));
     if (flight_arm) {
       fold(flight, measure_sample("flood", n, kWheelArm, cell_target,
                                   nullptr, nullptr, &fo));
@@ -566,9 +561,6 @@ SweepRow run_sweep_cell(int n, int repeats, int target_events,
                                 nullptr, nullptr, &po));
     }
   }
-  shape(wheel.events == heap.events,
-        "sweep n=" + std::to_string(n) +
-            ": wheel and heap calendars execute the same event count");
   if (flight_arm) {
     shape(wheel.events == flight.events,
           "sweep n=" + std::to_string(n) +
@@ -587,11 +579,11 @@ SweepRow run_sweep_cell(int n, int repeats, int target_events,
   row.machines = wheel.machines;
   row.events = wheel.events;
   row.sched_ns = wheel.ns_per_event;
-  row.heap_ns = heap.ns_per_event;
-  // Assembly alone (no run) is cheap next to a timed arm, so a few extra
-  // builds steady the min the linear-assembly gate divides.
-  row.assemble_ns = std::min(wheel.assemble_ns, heap.assemble_ns);
-  for (int r = 0; r < kExtraAssembleSamples; ++r) {
+  // Assembly alone (no run) is cheap next to a timed arm, so extra builds
+  // steady the min the linear-assembly gate divides: at least
+  // 2 * repeats + kExtraAssembleSamples samples per cell.
+  row.assemble_ns = wheel.assemble_ns;
+  for (int r = 0; r < repeats + kExtraAssembleSamples; ++r) {
     double ns = 0;
     build_flood(n, kWheelArm, cell_target, &ns);
     row.assemble_ns = std::min(row.assemble_ns, ns);
@@ -683,10 +675,9 @@ SweepRow run_sweep_cell(int n, int repeats, int target_events,
               ": legacy polling executes the same event count");
     row.legacy_ns = legacy.ns_per_event;
   }
-  std::printf("  %8d %9zu %9zu %12.1f %14.1f %14.1f", n, row.machines,
-              row.events,
+  std::printf("  %8d %9zu %9zu %12.1f %14.1f", n, row.machines, row.events,
               row.assemble_ns / static_cast<double>(row.machines),
-              row.sched_ns, row.heap_ns);
+              row.sched_ns);
   if (row.legacy_ns > 0) {
     std::printf(" %14.1f", row.legacy_ns);
   } else {
@@ -716,7 +707,7 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
        << r.legacy_ns << ",\"sched_ns_per_event\":" << r.sched_ns
        << ",\"speedup\":" << r.speedup << ",\"fast_path_rate\":"
        << r.fast_path_rate << ",\"cache_hit_rate\":" << r.cache_hit_rate
-       << ",\"wake_stale_pops\":" << r.wake_stale_pops;
+       << ",\"stale_drops_per_event\":" << r.stale_drops_per_event;
     if (r.lint_ns > 0) {
       os << ",\"lint_ns_per_event\":" << r.lint_ns
          << ",\"lint_overhead\":" << r.lint_overhead;
@@ -737,8 +728,7 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
        << "\"nodes\":" << r.nodes << ",\"machines\":" << r.machines
        << ",\"events\":" << r.events << ",\"assemble_ns_per_machine\":"
        << r.assemble_ns / static_cast<double>(r.machines)
-       << ",\"sched_ns_per_event\":" << r.sched_ns
-       << ",\"heap_ns_per_event\":" << r.heap_ns;
+       << ",\"sched_ns_per_event\":" << r.sched_ns;
     if (r.legacy_ns > 0) os << ",\"legacy_ns_per_event\":" << r.legacy_ns;
     if (r.flight_ns > 0) {
       os << ",\"flight_ns_per_event\":" << r.flight_ns
@@ -982,9 +972,9 @@ int main(int argc, char** argv) {
            "events-per-machine budget per cell; legacy polling capped at " +
            std::to_string(kLegacySweepCap) +
            " machines; cap via PSC_BENCH_MAX_MACHINES / --max-machines");
-      std::printf("  %8s %9s %9s %12s %14s %14s %14s %10s %10s", "n",
-                  "machines", "events", "asm ns/mach", "wheel ns/ev",
-                  "heap ns/ev", "legacy ns/ev", "cascades", "stale");
+      std::printf("  %8s %9s %9s %12s %14s %14s %10s %10s", "n", "machines",
+                  "events", "asm ns/mach", "wheel ns/ev", "legacy ns/ev",
+                  "cascades", "stale");
       if (flight_arm) std::printf(" %13s %8s", "flight ns/ev", "fly ovh");
       if (prof_arm) std::printf(" %11s %8s", "prof ns/ev", "prof ovh");
       std::printf("\n");

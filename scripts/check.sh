@@ -14,9 +14,9 @@
 #      composition lint + online invariant probe), dump their traces, and
 #      replay them offline through psc-lint — any error-severity PSC
 #      diagnostic fails the lane.
-#   4b. certify: psc-lint --certify derives interference graphs, bound
-#      certificates, and shard plans for the same three harnesses (PSC2xx,
-#      any error fails), and psc-sim --certify re-runs them with the online
+#   4b. certify: psc-lint --certify derives interference graphs and bound
+#      certificates for the same three harnesses (PSC2xx, any error
+#      fails), and psc-sim --certify re-runs them with the online
 #      CertificateProbe checking every delivery against its derived window
 #      (PSC206).
 #   5. psc-report: the CI sweep (configs/rw_sweep_smoke.cfg) with the
@@ -29,8 +29,10 @@
 #      sanitizer-clean and the recorded window lints like a live trace.
 #   6b. input mutation lane: seeded byte/line mutants of a corpus the
 #      tools emit (flight snapshot, text and JSONL traces, sweep cfg) fed to
-#      psc-flight, psc-lint and psc-report under ASan+UBSan; any signal or
-#      sanitizer report fails the lane.
+#      psc-flight, psc-lint and psc-report, plus misspelt, dropped or
+#      duplicated command-line flags fed to psc-sim and psc-lint, under
+#      ASan+UBSan; any signal or sanitizer report fails the lane, and so
+#      does a misspelt flag that is not answered with exit status 2.
 #   7. microprofiler overhead gate: the capped machine sweep with the
 #      sampling profiler attached, in a separate *plain* RelWithDebInfo
 #      build (build-bench-prof) — timing under sanitizers is meaningless.
@@ -149,13 +151,13 @@ trap 'rm -rf "$LINT_TMP"' EXIT
 
 # --- lane 4b: bound certificates + online certificate probe ------------------
 
-# Static: derive the interference graph, per-hop/per-path certificates, and
-# a shard plan for each harness; any PSC2xx error (vacuous window,
-# zero-lookahead cycle, eps-inconsistent path, declaration contradiction,
-# unprovable shard floor) exits nonzero. The JSONL certificates land under
-# the mktemp dir and are round-trip-checked by the versioned header line.
+# Static: derive the interference graph and per-hop/per-path certificates
+# for each harness; any PSC2xx error (vacuous window, zero-lookahead cycle,
+# eps-inconsistent path, declaration contradiction) exits nonzero. The JSONL
+# certificates land under the mktemp dir and are round-trip-checked by the
+# versioned header line.
 "$BUILD_DIR"/tools/psc-lint --certify=flood --nodes=4 \
-  --d1_us=20 --d2_us=300 --shards=2 --jsonl="$LINT_TMP/cert_flood.jsonl"
+  --d1_us=20 --d2_us=300 --jsonl="$LINT_TMP/cert_flood.jsonl"
 "$BUILD_DIR"/tools/psc-lint --certify=rw-clock --nodes=3 \
   --d1_us=20 --d2_us=300 --eps_us=50 --jsonl="$LINT_TMP/cert_rw.jsonl"
 "$BUILD_DIR"/tools/psc-lint --certify=queue --nodes=3 \
@@ -208,8 +210,9 @@ mkdir -p "$FLY_DIR"
 # Every reader of external bytes answers malformed input with a diagnostic
 # and a nonzero exit. Seed a corpus from the tools' own output (a flight
 # snapshot, a text trace, a JSONL trace, and a one-cell sweep cfg), then feed
-# psc-flight, psc-lint --trace= and psc-report a fixed number of seeded
-# byte/line mutants under ASan+UBSan; any signal or sanitizer report fails
+# psc-flight, psc-lint --trace= and psc-report seeded byte/line mutants, and
+# psc-sim and psc-lint seeded flag mutants, under ASan+UBSan — a fixed
+# budget of mutants shared round-robin; any signal or sanitizer report fails
 # the lane (scripts/mutate_inputs.py). Failing mutants are kept in the
 # corpus dir for replay.
 MUT_DIR="$BUILD_DIR/mutate"

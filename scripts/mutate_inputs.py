@@ -13,13 +13,20 @@ seeded mutants of its input, round-robin:
     DIR/flood.txt     psc-lint --trace= (text trace)     line + byte mutations
     DIR/rw.jsonl      psc-lint --trace= (JSONL trace)    line + byte mutations
     DIR/sweep.cfg     psc-report --sweep= (sweep cfg)    line + byte mutations
+    psc-sim flags     flood / rw-clock command lines    flag mutations
+    psc-lint flags    --certify= / --trace= lines       flag mutations
+
+A flag mutation misspells, drops or duplicates one --key[=value] token of
+a valid command line.
 
 A run fails the script when the tool dies by a signal (an uncaught
 CheckError ends in SIGABRT), exits with the sanitizer exit code, or prints
-a sanitizer report. Any other exit status is an answer. A run that exceeds
---timeout seconds is reported and counted but does not fail: a mutated
-number can legally ask for a very large run. The mutant that failed is kept
-next to the corpus as failure-<n>.<ext> so it can be replayed by hand.
+a sanitizer report, or when a misspelt flag is not answered with exit
+status 2 and a diagnostic naming it. Any other exit status is an answer. A
+run that exceeds --timeout seconds is reported and counted but does not
+fail: a mutated number can legally ask for a very large run. The mutant
+that failed is kept next to the corpus as failure-<n>.<ext> (flag mutants:
+failure-<n>.args, one argument per line) so it can be replayed by hand.
 """
 
 import argparse
@@ -71,6 +78,47 @@ def mutate_lines(data, rng):
         else b"\n".join(lines)
 
 
+def misspell(key, rng):
+    """Drops, doubles, swaps or replaces one character of a flag name."""
+    while True:
+        chars = list(key)
+        i = rng.randrange(len(chars))
+        op = rng.randrange(4)
+        if op == 0 and len(chars) > 1:
+            del chars[i]
+        elif op == 1:
+            chars.insert(i, chars[i])
+        elif op == 2 and i + 1 < len(chars):
+            chars[i], chars[i + 1] = chars[i + 1], chars[i]
+        else:
+            chars[i] = rng.choice("abcdefghijklmnopqrstuvwxyz")
+        out = "".join(chars)
+        if out != key:
+            return out
+
+
+def mutate_flags(argv, rng):
+    """Misspells, drops or duplicates one --key[=value] token of argv.
+
+    Returns the mutated argv and the misspelt flag (None for a drop or a
+    duplicate, which leave every remaining flag valid).
+    """
+    flags = [i for i, tok in enumerate(argv) if tok.startswith("--")]
+    i = rng.choice(flags)
+    out = list(argv)
+    op = rng.randrange(3)
+    if op == 0:
+        key, sep, value = out[i][2:].partition("=")
+        bad = "--" + misspell(key, rng)
+        out[i] = bad + sep + value
+        return out, bad
+    if op == 1:
+        del out[i]
+    else:
+        out.insert(rng.choice(flags + [len(out)]), out[i])
+    return out, None
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tools", required=True, type=Path)
@@ -93,6 +141,25 @@ def main():
         ("sweep.cfg", mutate_lines,
          lambda p: [args.tools / "psc-report", f"--sweep={p}", "--quiet"]),
     ]
+    work = args.corpus / "mutants"
+    # Valid command lines whose flags the flag family mutates: every flag
+    # here is one its tool's mode reads.
+    flag_targets = [
+        ("psc-sim flags", [
+            [args.tools / "psc-sim", "flood", "--nodes=4", "--d1_us=20",
+             "--d2_us=300", "--seed=3", "--lint", "--certify"],
+            [args.tools / "psc-sim", "rw-clock", "--nodes=3", "--ops=4",
+             "--eps_us=50", "--drift=zigzag", "--write_frac=0.5",
+             "--exec-stats"],
+        ]),
+        ("psc-lint flags", [
+            [args.tools / "psc-lint", "--certify=flood", "--nodes=4",
+             "--d1_us=20", "--d2_us=300", "--seed=2",
+             f"--jsonl={work / 'cert.jsonl'}"],
+            [args.tools / "psc-lint", f"--trace={args.corpus / 'rw.jsonl'}",
+             *lint_bounds, "--nodes=3", "--slack_ns=0"],
+        ]),
+    ]
     env = dict(os.environ)
     env["ASAN_OPTIONS"] = f"exitcode={SANITIZER_EXIT}:" + \
         env.get("ASAN_OPTIONS", "")
@@ -101,15 +168,24 @@ def main():
 
     rng = random.Random(args.seed)
     seeds = {name: (args.corpus / name).read_bytes() for name, _, _ in targets}
-    work = args.corpus / "mutants"
     work.mkdir(exist_ok=True)
     failures = timeouts = 0
     answers = {}
+    families = len(targets) + len(flag_targets)
     for n in range(args.mutants):
-        name, mutate, command = targets[n % len(targets)]
-        mutant = work / f"mutant{Path(name).suffix}"
-        mutant.write_bytes(mutate(seeds[name], rng))
-        cmd = [str(c) for c in command(mutant)]
+        k = n % families
+        misspelt = None
+        if k < len(targets):
+            name, mutate, command = targets[k]
+            mutant = work / f"mutant{Path(name).suffix}"
+            mutant.write_bytes(mutate(seeds[name], rng))
+            cmd = [str(c) for c in command(mutant)]
+        else:
+            name, bases = flag_targets[k - len(targets)]
+            cmd, misspelt = mutate_flags(
+                [str(c) for c in rng.choice(bases)], rng)
+            mutant = work / "mutant.args"
+            mutant.write_text("\n".join(cmd) + "\n")
         try:
             proc = subprocess.run(cmd, stdout=subprocess.DEVNULL,
                                   stderr=subprocess.PIPE, env=env,
@@ -120,9 +196,12 @@ def main():
                   file=sys.stderr)
             continue
         report = any(m in proc.stderr for m in SANITIZER_MARKERS)
-        if proc.returncode < 0 or proc.returncode == SANITIZER_EXIT or report:
+        unnamed = misspelt is not None and (
+            proc.returncode != 2 or misspelt.encode() not in proc.stderr)
+        if (proc.returncode < 0 or proc.returncode == SANITIZER_EXIT or report
+                or unnamed):
             failures += 1
-            kept = args.corpus / f"failure-{n}{Path(name).suffix}"
+            kept = args.corpus / f"failure-{n}{mutant.suffix}"
             kept.write_bytes(mutant.read_bytes())
             print(f"FAILED mutant {n} ({name}): exit {proc.returncode}, "
                   f"kept as {kept}\n  {' '.join(cmd)}\n"

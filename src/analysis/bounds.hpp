@@ -18,8 +18,7 @@
 //   PSC201  a hop window is inverted/vacuous (relay_d1 > relay_d2);
 //   PSC202  a cycle of zero-lookahead edges passes through a relay — the
 //           network can circulate influence in zero time, so no
-//           conservative time window exists (and ROADMAP item 2's PDES
-//           executor could never advance);
+//           conservative time window exists;
 //   PSC203  an opaque (undeclared) machine is reachable from a source: its
 //           hops certify as [0, 0], so path windows through it are
 //           optimistic (warn);

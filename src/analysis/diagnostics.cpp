@@ -61,8 +61,6 @@ const char* to_string(DiagCode code) {
       return "PSC205";
     case DiagCode::kOutsideCertificate:
       return "PSC206";
-    case DiagCode::kShardLookaheadLow:
-      return "PSC207";
     case DiagCode::kCertCoverage:
       return "PSC208";
   }
@@ -104,7 +102,7 @@ const char* summary(DiagCode code) {
     case DiagCode::kVacuousHopWindow:
       return "derived hop window is empty or inverted";
     case DiagCode::kZeroLookaheadCycle:
-      return "interference cycle with zero lookahead (unshardable)";
+      return "relay inside an interference cycle with zero lookahead";
     case DiagCode::kUncertifiedMachine:
       return "opaque machine on a certified path (hop assumed [0,0])";
     case DiagCode::kEpsInconsistentPath:
@@ -113,8 +111,6 @@ const char* summary(DiagCode code) {
       return "harvested bound contradicts the declared system bound";
     case DiagCode::kOutsideCertificate:
       return "observed quantity outside its derived certificate window";
-    case DiagCode::kShardLookaheadLow:
-      return "shard plan's cross-shard lookahead below the required floor";
     case DiagCode::kCertCoverage:
       return "certification coverage summary";
   }

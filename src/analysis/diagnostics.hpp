@@ -56,7 +56,7 @@ enum class DiagCode {
   kEpsInconsistentPath = 204,  // PSC204: certified path mixes distinct eps
   kCertContradictsDecl = 205,  // PSC205: harvested bound outside declared one
   kOutsideCertificate = 206,   // PSC206: observation escapes its certificate
-  kShardLookaheadLow = 207,    // PSC207: shard plan under the lookahead floor
+  // 207 is retired (was the shard-plan lookahead floor); do not reuse it.
   kCertCoverage = 208,         // PSC208: certification coverage summary
 };
 

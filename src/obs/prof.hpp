@@ -7,7 +7,7 @@
 // down to the bench noise floor (~2%); it says nothing about where the
 // *baseline* nanoseconds go (wheel advance? dirty re-poll? routing?). The
 // microprofiler answers that directly: the scheduler loop brackets each
-// hot-loop phase — wheel/heap advance, candidate poll, pick, routing,
+// hot-loop phase — calendar advance, candidate poll, pick, routing,
 // machine step, trace record, probe dispatch, online lint, flight record —
 // with cycle-counter reads and accumulates per-phase totals, plus
 // per-action-kind and per-machine-kind attribution of the step phase

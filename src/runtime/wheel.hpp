@@ -8,9 +8,9 @@
 //                 jump);
 //   advance_to(t) drain every entry that has come due at the new `now`.
 //
-// PR 2 used two lazy min-heaps for this: O(log n) per push/pop with stale
-// entries discarded at the top. At 10^6 machines the heap walk is a chain
-// of data-dependent cache misses per event; this wheel replaces it with
+// A pair of lazy min-heaps also answers both: O(log n) per push/pop with
+// stale entries discarded at the top. At 10^6 machines the heap walk is a
+// chain of data-dependent cache misses per event; this wheel needs only
 // O(1)-ish array indexing on the same lazy-cancellation contract (entries
 // carry the owning machine's generation counter; a bumped generation
 // invalidates in place — nothing is ever searched for and removed).
@@ -44,8 +44,8 @@
 // at most kLevels times over its lifetime, amortized O(1) per event.
 //
 // Entries with t == cur_ (an upper bound that stops time *now*) sit in a
-// dedicated now-bucket that earliest() reports as cur_ — the same answer
-// the heap gave with such an entry at its top.
+// dedicated now-bucket that earliest() reports as cur_ — the same answer a
+// min-heap gives with such an entry at its top.
 #pragma once
 
 #include <array>

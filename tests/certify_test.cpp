@@ -7,15 +7,12 @@
 //     hop window (201), zero-lookahead relay cycle (202), reachable opaque
 //     machine (203), eps-inconsistent path (204), harvested bound outside
 //     the declared system bound (205), observed latency outside a derived
-//     certificate (206, via CertificateProbe), shard floor violation (207),
-//     and the coverage summary note (208);
-//   - scale: the shard synthesizer on a 1k-machine flood ring (K = 2/8/16,
-//     cross-shard lookahead >= min d1, JSONL round-trip) and the 65,536-
-//     machine certification-time gate (< 5 s — certification must never
-//     become the O(n^2) assembly path PR 7 removed).
+//     certificate (206, via CertificateProbe) and the coverage summary
+//     note (208);
+//   - scale: the 65,536-machine certification-time gate (< 5 s —
+//     certification must never become an O(n^2) path).
 #include <chrono>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -238,7 +235,7 @@ TEST(CertifyTest, VacuousHopWindowIsPSC201) {
 
 TEST(CertifyTest, ZeroLookaheadRelayCycleIsPSC202) {
   // Two declared forwarders joined by two zero-d1 channels: influence can
-  // circulate through the network in zero time, so no conservative PDES
+  // circulate through the network in zero time, so no conservative time
   // window exists.
   auto make_forwarder = [](int node, int peer) {
     auto m = std::make_unique<ScriptMachine>(
@@ -388,21 +385,6 @@ TEST(CertifyTest, CertificateProbeOnLiveFloodRunStaysClean) {
   EXPECT_GT(exec.events().size(), 0u);
 }
 
-TEST(CertifyTest, ShardFloorViolationIsPSC207) {
-  Executor exec({.horizon = seconds(1)});
-  assemble_flood(exec, 8, microseconds(20), microseconds(300));
-  const InterferenceGraph g = build_interference_graph(exec.composition());
-  // Floor above the achievable cross-shard lookahead (the ring's d1).
-  DiagnosticReport bad;
-  synthesize_shards(g, 4, milliseconds(1), &bad);
-  EXPECT_EQ(bad.count(DiagCode::kShardLookaheadLow), 1u);
-  EXPECT_TRUE(bad.has_errors());
-  // Floor at d1 is provable: clean.
-  DiagnosticReport good;
-  synthesize_shards(g, 4, microseconds(20), &good);
-  EXPECT_EQ(good.count(DiagCode::kShardLookaheadLow), 0u);
-}
-
 TEST(CertifyTest, CoverageSummaryIsPSC208Note) {
   Executor exec({.horizon = seconds(1)});
   assemble_flood(exec, 4, microseconds(20), microseconds(300));
@@ -414,85 +396,9 @@ TEST(CertifyTest, CoverageSummaryIsPSC208Note) {
   EXPECT_GE(cert.report.notes(), 1u);
 }
 
-// --- shard synthesis at scale ----------------------------------------------
-
-TEST(CertifyTest, ShardPlanProvesRingLookaheadAcrossK) {
-  // 512 flood nodes + 512 ring channels = 1024 machines.
-  Executor exec({.horizon = seconds(1)});
-  const Duration d1 = microseconds(20);
-  assemble_flood(exec, 512, d1, microseconds(300));
-  const InterferenceGraph g = build_interference_graph(exec.composition());
-  ASSERT_EQ(g.nodes.size(), 1024u);
-  for (const int k : {2, 8, 16}) {
-    DiagnosticReport report;
-    const ShardPlan plan = synthesize_shards(g, k, d1, &report);
-    EXPECT_EQ(plan.num_shards, k);
-    EXPECT_TRUE(report.empty()) << report.to_text();
-    EXPECT_GE(plan.min_cut_lookahead, d1) << "K=" << k;
-    EXPECT_GT(plan.cut_edges, 0u);
-    std::size_t total = 0;
-    for (const std::size_t s : plan.shard_sizes) total += s;
-    EXPECT_EQ(total, g.nodes.size());
-
-    // JSONL round-trip.
-    std::ostringstream os;
-    write_shard_plan_jsonl(os, plan, g);
-    std::istringstream is(os.str());
-    const ShardPlan back = read_shard_plan_jsonl(is);
-    EXPECT_EQ(back.num_shards, plan.num_shards);
-    EXPECT_EQ(back.shard_of, plan.shard_of);
-    EXPECT_EQ(back.shard_sizes, plan.shard_sizes);
-    EXPECT_EQ(back.cut_edges, plan.cut_edges);
-    EXPECT_EQ(back.min_cut_lookahead, plan.min_cut_lookahead);
-  }
-}
-
-// The reader raises a diagnostic naming the line instead of aborting on a
-// non-number or silently accepting trailing garbage or a cut-off line.
-TEST(CertifyTest, MalformedShardPlanJsonlNamesTheLine) {
-  const std::string summary =
-      "{\"type\":\"shard_plan\",\"shards\":2,\"machines\":2,"
-      "\"cut_edges\":1,\"min_cut_lookahead_ns\":20000}\n";
-  const std::string assign0 =
-      "{\"type\":\"shard_assign\",\"index\":0,\"machine\":\"a\","
-      "\"shard\":0}\n";
-  const auto read_error = [](const std::string& text) -> std::string {
-    std::istringstream is(text);
-    try {
-      read_shard_plan_jsonl(is);
-    } catch (const CheckError& e) {
-      return e.what();
-    }
-    return "";
-  };
-  {
-    std::istringstream is(summary + assign0);
-    EXPECT_EQ(read_shard_plan_jsonl(is).shard_of, (std::vector<int>{0, 0}));
-  }
-  for (const char* bad : {"1x", "abc", "", "99999999999999999999"}) {
-    const std::string err = read_error(
-        summary + assign0 +
-        "{\"type\":\"shard_assign\",\"index\":1,\"machine\":\"b\","
-        "\"shard\":" + bad + "}\n");
-    EXPECT_NE(err.find("line 3: "), std::string::npos) << bad << ": " << err;
-    EXPECT_NE(err.find("shard"), std::string::npos) << err;
-  }
-  // Truncated mid-line: the summary loses its closing brace and last key.
-  const std::string truncated = summary.substr(0, summary.size() - 12);
-  const std::string err = read_error(truncated + "\n" + assign0);
-  EXPECT_NE(err.find("line 1: "), std::string::npos) << err;
-  EXPECT_NE(err.find("truncated"), std::string::npos) << err;
-  // An assignment for a machine the summary does not have.
-  EXPECT_NE(read_error(summary +
-                       "{\"type\":\"shard_assign\",\"index\":7,"
-                       "\"machine\":\"z\",\"shard\":1}\n")
-                .find("line 2: "),
-            std::string::npos);
-}
-
 TEST(CertifyTest, CertificationScalesTo65536Machines) {
   // 32768 flood nodes + 32768 channels. The whole static pipeline — wiring
-  // lint, graph build, certificates, shard plan — must finish in < 5 s
+  // lint, graph build, certificates — must finish in < 5 s
   // (the lint and build are name-bucketed; anything quadratic blows this
   // gate by orders of magnitude).
   Executor exec({.horizon = seconds(1)});
@@ -507,18 +413,13 @@ TEST(CertifyTest, CertificationScalesTo65536Machines) {
   opts.d1 = microseconds(20);
   opts.d2 = microseconds(300);
   const BoundCert cert = certify_bounds(g, opts);
-  DiagnosticReport shard_report;
-  const ShardPlan plan = synthesize_shards(g, 16, microseconds(20),
-                                           &shard_report);
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - t0);
 
   EXPECT_FALSE(wiring.has_errors());
   EXPECT_FALSE(cert.report.has_errors());
-  EXPECT_TRUE(shard_report.empty());
   EXPECT_EQ(g.nodes.size(), 65536u);
   EXPECT_EQ(cert.paths.size(), 65535u);
-  EXPECT_GE(plan.min_cut_lookahead, microseconds(20));
   EXPECT_LT(elapsed.count(), 5000) << "certification took " << elapsed.count()
                                    << "ms — quadratic path regression";
 }

@@ -1,11 +1,11 @@
 // Regression suite for the executor's calendar/dirty-set scheduler: the
-// three scheduler arms — the default timing-wheel calendar, the PR 2 heap
-// calendar (ExecutorOptions::heap_calendar) and the legacy polling loop
-// (ExecutorOptions::legacy_scan) — must be observationally identical:
-// byte-identical TimedTraces and probe sequences for the same seed, on
-// every shipped harness. The interned routing must also preserve the
-// composition compatibility errors and hide() edge cases of the
-// classify() path.
+// timing-wheel loop and the legacy polling loop it replaced
+// (ExecutorOptions::legacy_scan, kept as the oracle) must be
+// observationally identical: byte-identical TimedTraces and probe
+// sequences for the same seed, on every shipped harness. The interned
+// routing must also preserve the composition compatibility errors and
+// hide() edge cases of the classify() path, and the scheduler's per-event
+// work counters stay under fixed bounds (SchedulerWork).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -15,14 +15,19 @@
 #include <vector>
 
 #include "algos/flood.hpp"
+#include "clock/trajectory.hpp"
 #include "core/trace_io.hpp"
+#include "mmt/mmt_system.hpp"
 #include "obs/instrument.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probe.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/system.hpp"
+#include "rw/algorithm.hpp"
+#include "rw/client.hpp"
 #include "rw/harness.hpp"
 #include "rw/queue.hpp"
+#include "transform/clock_system.hpp"
 #include "util/check.hpp"
 
 namespace psc {
@@ -71,23 +76,19 @@ class RecordingProbe final : public Probe {
   std::ostringstream log_;
 };
 
-// The three scheduler arms under test, as (legacy_scan, heap_calendar).
+// The two scheduler loops under test (ExecutorOptions::legacy_scan).
 struct SchedMode {
   bool legacy;
-  bool heap;
   const char* name;
 };
-constexpr SchedMode kWheelMode{false, false, "wheel"};
-constexpr SchedMode kHeapMode{false, true, "heap"};
-constexpr SchedMode kLegacyMode{true, false, "legacy"};
-constexpr SchedMode kAltModes[] = {kHeapMode, kLegacyMode};
+constexpr SchedMode kWheelMode{false, "wheel"};
+constexpr SchedMode kLegacyMode{true, "legacy"};
 
 TimedTrace run_flood(const Graph& g, std::uint64_t seed, SchedMode mode,
                      Probe* probe, std::size_t* steps = nullptr) {
   Executor exec({.horizon = seconds(10),
                  .seed = seed,
                  .legacy_scan = mode.legacy,
-                 .heap_calendar = mode.heap,
                  .probes = probe ? std::vector<Probe*>{probe}
                                  : std::vector<Probe*>{}});
   ChannelConfig cc;
@@ -107,24 +108,19 @@ TEST(SchedulerEquivalence, FloodRingTracesMatchAcrossSchedulers) {
     std::size_t steps_ref = 0;
     const auto ref =
         run_flood(Graph::ring(8), seed, kWheelMode, nullptr, &steps_ref);
-    for (const SchedMode& mode : kAltModes) {
-      std::size_t steps = 0;
-      const auto got = run_flood(Graph::ring(8), seed, mode, nullptr, &steps);
-      EXPECT_EQ(steps_ref, steps) << mode.name << " seed " << seed;
-      EXPECT_EQ(normalized(ref), normalized(got))
-          << mode.name << " seed " << seed;
-    }
+    std::size_t steps = 0;
+    const auto got =
+        run_flood(Graph::ring(8), seed, kLegacyMode, nullptr, &steps);
+    EXPECT_EQ(steps_ref, steps) << "seed " << seed;
+    EXPECT_EQ(normalized(ref), normalized(got)) << "seed " << seed;
   }
 }
 
 TEST(SchedulerEquivalence, FloodCompleteGraphTracesMatchAcrossSchedulers) {
   for (std::uint64_t seed : {7u, 42u, 99u}) {
     const auto ref = run_flood(Graph::complete(6), seed, kWheelMode, nullptr);
-    for (const SchedMode& mode : kAltModes) {
-      const auto got = run_flood(Graph::complete(6), seed, mode, nullptr);
-      EXPECT_EQ(normalized(ref), normalized(got))
-          << mode.name << " seed " << seed;
-    }
+    const auto got = run_flood(Graph::complete(6), seed, kLegacyMode, nullptr);
+    EXPECT_EQ(normalized(ref), normalized(got)) << "seed " << seed;
   }
 }
 
@@ -132,11 +128,9 @@ TEST(SchedulerEquivalence, ProbeSequencesMatchAcrossSchedulers) {
   RecordingProbe wheel;
   run_flood(Graph::ring(6), 42, kWheelMode, &wheel);
   EXPECT_FALSE(wheel.text().empty());
-  for (const SchedMode& mode : kAltModes) {
-    RecordingProbe probe;
-    run_flood(Graph::ring(6), 42, mode, &probe);
-    EXPECT_EQ(wheel.text(), probe.text()) << mode.name;
-  }
+  RecordingProbe legacy;
+  run_flood(Graph::ring(6), 42, kLegacyMode, &legacy);
+  EXPECT_EQ(wheel.text(), legacy.text());
 }
 
 RwRunConfig rw_cfg(std::uint64_t seed, SchedMode mode) {
@@ -151,18 +145,15 @@ RwRunConfig rw_cfg(std::uint64_t seed, SchedMode mode) {
   cfg.horizon = seconds(5);
   cfg.seed = seed;
   cfg.legacy_scan = mode.legacy;
-  cfg.heap_calendar = mode.heap;
   return cfg;
 }
 
 TEST(SchedulerEquivalence, RwTimedTracesMatchAcrossSchedulers) {
   for (std::uint64_t seed : {7u, 42u, 99u}) {
     const auto ref = run_rw_timed(rw_cfg(seed, kWheelMode));
-    for (const SchedMode& mode : kAltModes) {
-      const auto got = run_rw_timed(rw_cfg(seed, mode));
-      EXPECT_EQ(normalized(ref.events), normalized(got.events))
-          << mode.name << " seed " << seed;
-    }
+    const auto got = run_rw_timed(rw_cfg(seed, kLegacyMode));
+    EXPECT_EQ(normalized(ref.events), normalized(got.events))
+        << "seed " << seed;
   }
 }
 
@@ -170,12 +161,10 @@ TEST(SchedulerEquivalence, RwClockTracesMatchAcrossSchedulers) {
   for (std::uint64_t seed : {7u, 42u, 99u}) {
     ZigzagDrift dref(0.3);
     const auto ref = run_rw_clock(rw_cfg(seed, kWheelMode), dref);
-    for (const SchedMode& mode : kAltModes) {
-      ZigzagDrift d(0.3);
-      const auto got = run_rw_clock(rw_cfg(seed, mode), d);
-      EXPECT_EQ(normalized(ref.events), normalized(got.events))
-          << mode.name << " seed " << seed;
-    }
+    ZigzagDrift d(0.3);
+    const auto got = run_rw_clock(rw_cfg(seed, kLegacyMode), d);
+    EXPECT_EQ(normalized(ref.events), normalized(got.events))
+        << "seed " << seed;
   }
 }
 
@@ -184,16 +173,15 @@ TEST(SchedulerEquivalence, RwMmtTracesMatchAcrossSchedulers) {
   for (std::uint64_t seed : {7u, 42u, 99u}) {
     const auto ref =
         run_rw_mmt(rw_cfg(seed, kWheelMode), drift, microseconds(10), 5);
-    for (const SchedMode& mode : kAltModes) {
-      const auto got = run_rw_mmt(rw_cfg(seed, mode), drift, microseconds(10), 5);
-      EXPECT_EQ(normalized(ref.events), normalized(got.events))
-          << mode.name << " seed " << seed;
-    }
+    const auto got =
+        run_rw_mmt(rw_cfg(seed, kLegacyMode), drift, microseconds(10), 5);
+    EXPECT_EQ(normalized(ref.events), normalized(got.events))
+        << "seed " << seed;
   }
 }
 
 // The bound-slack observatory is part of the schedulers' observability
-// contract: for the same seed all three scheduler arms must report identical
+// contract: for the same seed both scheduler loops must report identical
 // min-slack summaries, not just identical traces.
 TEST(SchedulerEquivalence, SlackSummariesMatchAcrossSchedulers) {
   struct SlackRun {
@@ -216,27 +204,25 @@ TEST(SchedulerEquivalence, SlackSummariesMatchAcrossSchedulers) {
   const auto& a = ref->result;
   ASSERT_LT(a.min_slack, kTimeMax);  // the observatory measured something
   EXPECT_GE(a.min_slack, 0);
-  for (const SchedMode& mode : kAltModes) {
-    const auto alt = run(mode);
-    const auto& b = alt->result;
-    EXPECT_EQ(a.min_slack, b.min_slack) << mode.name;
-    EXPECT_EQ(a.min_slack_ceps, b.min_slack_ceps) << mode.name;
-    EXPECT_EQ(a.min_slack_delivery, b.min_slack_delivery) << mode.name;
-    EXPECT_EQ(a.min_slack_thm47, b.min_slack_thm47) << mode.name;
-    EXPECT_EQ(a.min_slack_mmt, b.min_slack_mmt) << mode.name;
-    EXPECT_EQ(a.slack_violations, b.slack_violations) << mode.name;
+  const auto alt = run(kLegacyMode);
+  const auto& b = alt->result;
+  EXPECT_EQ(a.min_slack, b.min_slack);
+  EXPECT_EQ(a.min_slack_ceps, b.min_slack_ceps);
+  EXPECT_EQ(a.min_slack_delivery, b.min_slack_delivery);
+  EXPECT_EQ(a.min_slack_thm47, b.min_slack_thm47);
+  EXPECT_EQ(a.min_slack_mmt, b.min_slack_mmt);
+  EXPECT_EQ(a.slack_violations, b.slack_violations);
 
-    // The aggregate histograms agree sample-for-sample, too.
-    for (const char* name :
-         {"slack.ceps_ns", "slack.delivery_ns", "slack.thm47_ns"}) {
-      const Histogram* ha = ref->registry.find_histogram(name);
-      const Histogram* hb = alt->registry.find_histogram(name);
-      ASSERT_NE(ha, nullptr) << name;
-      ASSERT_NE(hb, nullptr) << name;
-      EXPECT_EQ(ha->count(), hb->count()) << mode.name << " " << name;
-      EXPECT_EQ(ha->sum(), hb->sum()) << mode.name << " " << name;
-      EXPECT_EQ(ha->buckets(), hb->buckets()) << mode.name << " " << name;
-    }
+  // The aggregate histograms agree sample-for-sample, too.
+  for (const char* name :
+       {"slack.ceps_ns", "slack.delivery_ns", "slack.thm47_ns"}) {
+    const Histogram* ha = ref->registry.find_histogram(name);
+    const Histogram* hb = alt->registry.find_histogram(name);
+    ASSERT_NE(ha, nullptr) << name;
+    ASSERT_NE(hb, nullptr) << name;
+    EXPECT_EQ(ha->count(), hb->count()) << name;
+    EXPECT_EQ(ha->sum(), hb->sum()) << name;
+    EXPECT_EQ(ha->buckets(), hb->buckets()) << name;
   }
 }
 
@@ -252,17 +238,14 @@ TEST(SchedulerEquivalence, QueueClockTracesMatchAcrossSchedulers) {
     qc.horizon = seconds(5);
     qc.seed = seed;
     qc.legacy_scan = mode.legacy;
-    qc.heap_calendar = mode.heap;
     ZigzagDrift drift(0.3);
     return run_queue_clock(qc, drift);
   };
   for (std::uint64_t seed : {7u, 11u, 42u}) {
     const auto ref = run(seed, kWheelMode);
-    for (const SchedMode& mode : kAltModes) {
-      const auto got = run(seed, mode);
-      EXPECT_EQ(normalized(ref.events), normalized(got.events))
-          << mode.name << " seed " << seed;
-    }
+    const auto got = run(seed, kLegacyMode);
+    EXPECT_EQ(normalized(ref.events), normalized(got.events))
+        << "seed " << seed;
   }
 }
 
@@ -405,9 +388,7 @@ class XListener final : public Machine {
 // would never hear it.
 TEST(SchedulerRouting, AddAfterRunRoutesResolvedKindToNewSubscriber) {
   const auto run = [](SchedMode mode, int* received) {
-    Executor exec({.horizon = seconds(1),
-                   .legacy_scan = mode.legacy,
-                   .heap_calendar = mode.heap});
+    Executor exec({.horizon = seconds(1), .legacy_scan = mode.legacy});
     auto emitter = std::make_unique<RepeatEmitter>(4);
     const RepeatEmitter* em = emitter.get();
     exec.add_owned(std::move(emitter));
@@ -426,11 +407,9 @@ TEST(SchedulerRouting, AddAfterRunRoutesResolvedKindToNewSubscriber) {
   int legacy_received = 0;
   const std::string ref = run(kLegacyMode, &legacy_received);
   EXPECT_EQ(legacy_received, 2);
-  for (const SchedMode& mode : {kWheelMode, kHeapMode}) {
-    int received = 0;
-    EXPECT_EQ(run(mode, &received), ref) << mode.name;
-    EXPECT_EQ(received, 2) << mode.name;
-  }
+  int received = 0;
+  EXPECT_EQ(run(kWheelMode, &received), ref);
+  EXPECT_EQ(received, 2);
 }
 
 // --- event-cap semantics (ExecutorReport::hit_event_cap) ------------------
@@ -449,11 +428,10 @@ class Spinner final : public Machine {
 };
 
 TEST(SchedulerCap, CapWithStopConditionReportsInsteadOfThrowing) {
-  for (const SchedMode& mode : {kWheelMode, kHeapMode, kLegacyMode}) {
+  for (const SchedMode& mode : {kWheelMode, kLegacyMode}) {
     Executor exec({.horizon = seconds(1),
                    .max_events = 100,
-                   .legacy_scan = mode.legacy,
-                   .heap_calendar = mode.heap});
+                   .legacy_scan = mode.legacy});
     exec.add_owned(std::make_unique<Spinner>());
     exec.stop_when([] { return false; });  // never fires; cap wins the race
     const auto report = exec.run();
@@ -464,11 +442,10 @@ TEST(SchedulerCap, CapWithStopConditionReportsInsteadOfThrowing) {
 }
 
 TEST(SchedulerCap, CapWithoutStopConditionStillThrows) {
-  for (const SchedMode& mode : {kWheelMode, kHeapMode, kLegacyMode}) {
+  for (const SchedMode& mode : {kWheelMode, kLegacyMode}) {
     Executor exec({.horizon = seconds(1),
                    .max_events = 100,
-                   .legacy_scan = mode.legacy,
-                   .heap_calendar = mode.heap});
+                   .legacy_scan = mode.legacy});
     exec.add_owned(std::make_unique<Spinner>());
     EXPECT_THROW(exec.run(), CheckError) << mode.name;
   }
@@ -495,6 +472,129 @@ TEST(SchedulerProbes, OptionsAndAttachLandInOneList) {
   // Both probes observe the identical sequence: one event, one run.
   EXPECT_EQ(from_options.text(), attached.text());
   EXPECT_NE(from_options.text().find("event X"), std::string::npos);
+}
+
+// --- scheduler work per event (deterministic counter gate) ----------------
+//
+// Wall-clock gates move with steal time on a shared box; these counters do
+// not. Each harness runs at a fixed seed without recording, and the wheel
+// scheduler's work per executed event must stay under a bound set a little
+// above the value measured when the gate was written. A change that
+// re-polls machines needlessly (say, a dirty set that stops deduplicating)
+// or churns the calendar fails a bound here instead of hiding in noise.
+struct WorkBounds {
+  double repolls;   // dirty_repolls / event
+  double stale;     // wheel.stale_drops / event
+  double cascades;  // wheel.cascades / event
+  double classify;  // fanout_classify_calls / event
+};
+
+void expect_work_within(const ExecutorStats& s, const WorkBounds& b) {
+  ASSERT_GT(s.events, 0u);
+  const auto per_event = [&s](std::uint64_t n) {
+    return static_cast<double>(n) / static_cast<double>(s.events);
+  };
+  EXPECT_LE(per_event(s.dirty_repolls), b.repolls);
+  EXPECT_LE(per_event(s.wheel.stale_drops), b.stale);
+  EXPECT_LE(per_event(s.wheel.cascades), b.cascades);
+  EXPECT_LE(per_event(s.fanout_classify_calls), b.classify);
+}
+
+ExecutorStats flood_ring_work(int nodes) {
+  Executor exec({.horizon = seconds(60), .seed = 1, .record_events = false});
+  const Graph g = Graph::ring(nodes);
+  ChannelConfig cc;
+  cc.d1 = microseconds(20);
+  cc.d2 = microseconds(300);
+  cc.seed = 1 ^ 0xf100d;
+  add_timed_system(exec, g, cc,
+                   make_flood_nodes(g, /*source=*/0, /*payload=*/42,
+                                    /*hops_bound=*/g.n, cc.d2,
+                                    microseconds(10)));
+  return exec.run().stats;
+}
+
+// The register under Simulation 1 (add_clock_system) or under both
+// simulations (add_mmt_system, ell = 10us), zigzag clocks, half writes.
+ExecutorStats register_work(int nodes, int ops, bool mmt) {
+  const Time horizon = seconds(60);
+  const Duration eps = microseconds(50);
+  const Duration d2 = microseconds(300);
+  const Duration ell = microseconds(10);
+  Executor exec({.horizon = horizon, .seed = 1, .record_events = false});
+  ClientOptions co;
+  co.num_ops = ops;
+  co.think_max = microseconds(300);
+  std::vector<RwClient*> clients;
+  for (auto& c : make_clients(nodes, co, 1 ^ 0xc7, &clients)) {
+    exec.add_owned(std::move(c));
+  }
+  RwParams p;
+  p.num_nodes = nodes;
+  p.c = microseconds(40);
+  p.two_eps = 2 * eps;
+  p.d2_prime = mmt ? mmt_d2(d2, eps, nodes + 2, ell) : timed_d2(d2, eps);
+  ZigzagDrift drift(0.3);
+  Rng rng(1);
+  std::vector<std::shared_ptr<const ClockTrajectory>> clocks;
+  for (int i = 0; i < nodes; ++i) {
+    clocks.push_back(std::make_shared<const ClockTrajectory>(
+        drift.generate(eps, horizon, rng)));
+  }
+  ChannelConfig cc;
+  cc.d1 = microseconds(20);
+  cc.d2 = d2;
+  cc.seed = 1 ^ 0xe5e5;
+  const Graph g = Graph::complete_with_self_loops(nodes);
+  if (mmt) {
+    MmtConfig mc;
+    mc.ell = ell;
+    mc.seed = 1 ^ 0x4d4d54;
+    add_mmt_system(exec, g, cc, make_rw_algorithms(nodes, p), clocks, mc);
+    // The tick/step machinery never quiesces: stop once the workload is done.
+    exec.stop_when([clients] {
+      for (const RwClient* c : clients) {
+        if (!c->finished()) return false;
+      }
+      return true;
+    });
+  } else {
+    add_clock_system(exec, g, cc, make_rw_algorithms(nodes, p), clocks);
+  }
+  return exec.run().stats;
+}
+
+// Each bound is the measured value plus about 5% headroom (counters that
+// measure 0 are bounded at 0, or at 0.01 for cascades). The counters are
+// exact at a fixed seed, so the headroom only absorbs deliberate scheduler
+// changes small enough not to need a new baseline. A dirty set that stops
+// deduplicating re-polls 12-39% more machines per event on these runs (and
+// drops 28-49% more stale wheel entries), while every trace stays the same.
+TEST(SchedulerWork, PerEventCountersStayUnderBounds) {
+  {
+    SCOPED_TRACE("flood ring, 4096 nodes");  // 12,289 events
+    expect_work_within(flood_ring_work(4096),
+                       {.repolls = 2.80,    // measured 2.667 (+5.0%)
+                        .stale = 1.05,      // measured 1.000 (+5.0%)
+                        .cascades = 0.01,   // measured 0
+                        .classify = 0.0});  // measured 0: all declared
+  }
+  {
+    SCOPED_TRACE("register under Simulation 1, 8 nodes x 400 ops");  // 71,136
+    expect_work_within(register_work(8, 400, /*mmt=*/false),
+                       {.repolls = 2.00,    // measured 1.913 (+4.6%)
+                        .stale = 2.30,      // measured 2.191 (+5.0%)
+                        .cascades = 0.65,   // measured 0.615 (+5.7%)
+                        .classify = 0.0});  // measured 0: all declared
+  }
+  {
+    SCOPED_TRACE("register under MMT, 6 nodes x 100 ops");  // 93,933 events
+    expect_work_within(register_work(6, 100, /*mmt=*/true),
+                       {.repolls = 2.66,    // measured 2.537 (+4.8%)
+                        .stale = 2.13,      // measured 2.024 (+5.2%)
+                        .cascades = 1.90,   // measured 1.811 (+4.9%)
+                        .classify = 3.45}); // measured 3.287 (+5.0%)
+  }
 }
 
 }  // namespace

@@ -13,26 +13,28 @@
 //                  compositions (flood | rw-clock | queue) *without running
 //                  it*, runs the PSC0xx composition lint plus the PSC2xx
 //                  bound-certificate derivation (interference graph, per-hop
-//                  and source->sink windows, optional K-shard plan), and
-//                  reports. --jsonl dumps the certificate, --shard-jsonl the
-//                  shard plan; --shards=K asks the synthesizer to prove
-//                  cross-shard lookahead >= the composition's min d1.
+//                  and source->sink windows), and reports. --jsonl dumps the
+//                  certificate.
 //
 // Usage:
 //   psc-lint --trace=PATH [--eps_us=N] [--d1_us=N] [--d2_us=N] [--ell_us=N]
 //            [--nodes=N] [--slack_ns=N] [--no-order] [--jsonl=PATH]
 //   psc-lint --certify=flood|rw-clock|queue [--nodes=N] [--d1_us=N]
-//            [--d2_us=N] [--eps_us=N] [--ell_us=N] [--shards=K]
-//            [--source=NAME] [--seed=N] [--jsonl=PATH] [--shard-jsonl=PATH]
+//            [--d2_us=N] [--eps_us=N] [--ell_us=N] [--source=NAME]
+//            [--seed=N] [--jsonl=PATH]
 //
-// Checks whose parameters are omitted are skipped. JSONL output starts with
+// Checks whose parameters are omitted are skipped; a flag the mode does not
+// read is a usage error naming it. JSONL output starts with
 // a versioned header line ({"tool":...,"format":...,"ranges":...}) so dumps
 // are self-describing for the regression corpus. Exit status: 0 clean (or
 // warnings/notes only), 1 error-severity diagnostics, 2 usage/IO failure.
+#include <algorithm>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "analysis/bounds.hpp"
 #include "analysis/interference.hpp"
@@ -60,8 +62,7 @@ int usage() {
          "                [--no-order] [--jsonl=PATH]\n"
          "       psc-lint --certify=flood|rw-clock|queue [--nodes=N]\n"
          "                [--d1_us=N] [--d2_us=N] [--eps_us=N] [--ell_us=N]\n"
-         "                [--shards=K] [--source=NAME] [--seed=N]\n"
-         "                [--jsonl=PATH] [--shard-jsonl=PATH]\n";
+         "                [--source=NAME] [--seed=N] [--jsonl=PATH]\n";
   return 2;
 }
 
@@ -81,6 +82,18 @@ std::map<std::string, std::string> parse_args(int argc, char** argv) {
     }
   }
   return args;
+}
+
+// Every flag must be one the mode reads: a misspelt or stale flag would
+// otherwise be dropped silently and the run would use the default.
+void reject_unknown_flags(const std::map<std::string, std::string>& args,
+                          std::initializer_list<std::string_view> known) {
+  for (const auto& [key, value] : args) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      std::cerr << "psc-lint: unknown flag --" << key << "\n";
+      std::exit(usage());
+    }
+  }
 }
 
 // Numeric flags parse their whole value; a malformed one raises CheckError
@@ -161,6 +174,8 @@ void assemble(const std::string& scenario, const CertifyConfig& cfg,
 
 int run_certify(const std::map<std::string, std::string>& args,
                 const std::string& scenario) {
+  reject_unknown_flags(args, {"certify", "nodes", "d1_us", "d2_us", "eps_us",
+                              "ell_us", "source", "seed", "jsonl"});
   CertifyConfig cfg;
   cfg.nodes = static_cast<int>(geti(args, "nodes", cfg.nodes));
   const std::int64_t d1_us = geti(args, "d1_us", -1);
@@ -193,14 +208,6 @@ int run_certify(const std::map<std::string, std::string>& args,
   if (src_it != args.end()) bopts.sources.push_back(src_it->second);
   const BoundCert cert = certify_bounds(graph, bopts);
 
-  DiagnosticReport shard_report;
-  ShardPlan plan;
-  const int shards = static_cast<int>(geti(args, "shards", 0));
-  if (shards > 0) {
-    // The PDES floor (ROADMAP item 2): cross-shard lookahead >= min d1.
-    plan = synthesize_shards(graph, shards, cfg.d1, &shard_report);
-  }
-
   const auto jsonl_it = args.find("jsonl");
   if (jsonl_it != args.end()) {
     std::ofstream out(jsonl_it->second);
@@ -211,39 +218,19 @@ int run_certify(const std::map<std::string, std::string>& args,
     write_jsonl_header(out, "psc-lint", "bound-cert");
     write_bound_cert_jsonl(out, cert, graph);
     wiring.write_jsonl(out);
-    shard_report.write_jsonl(out);
-  }
-  const auto shard_it = args.find("shard-jsonl");
-  if (shard_it != args.end()) {
-    if (shards <= 0) {
-      std::cerr << "psc-lint: --shard-jsonl requires --shards=K\n";
-      return 2;
-    }
-    std::ofstream out(shard_it->second);
-    if (!out) {
-      std::cerr << "psc-lint: cannot write " << shard_it->second << "\n";
-      return 2;
-    }
-    write_jsonl_header(out, "psc-lint", "shard-plan");
-    write_shard_plan_jsonl(out, plan, graph);
   }
 
   std::cout << "psc-lint: certified " << scenario << " (" << cfg.nodes
             << " nodes, " << graph.nodes.size() << " machines, "
             << graph.edges.size() << " edges): " << cert.paths.size()
             << " path certificate(s)\n";
-  if (shards > 0) {
-    std::cout << "shard plan K=" << plan.num_shards << ": " << plan.cut_edges
-              << " cut edge(s), min cross-shard lookahead "
-              << format_time(plan.min_cut_lookahead) << "\n";
-  }
   bool clean = true;
-  const DiagnosticReport* reports[] = {&wiring, &cert.report, &shard_report};
+  const DiagnosticReport* reports[] = {&wiring, &cert.report};
   for (const DiagnosticReport* r : reports) {
     if (!r->empty()) std::cout << r->to_text();
     clean = clean && !r->has_errors();
   }
-  if (clean && wiring.empty() && cert.report.empty() && shard_report.empty()) {
+  if (clean && wiring.empty() && cert.report.empty()) {
     std::cout << "clean: no diagnostics\n";
   }
   return clean ? 0 : 1;
@@ -255,6 +242,10 @@ int lint(int argc, char** argv) {
   const auto args = parse_args(argc, argv);
   const auto certify_it = args.find("certify");
   if (certify_it != args.end()) return run_certify(args, certify_it->second);
+  // Without --certify this is trace mode, so a misspelt mode flag is named
+  // here rather than answered with the bare usage text.
+  reject_unknown_flags(args, {"trace", "eps_us", "d1_us", "d2_us", "ell_us",
+                              "nodes", "slack_ns", "no-order", "jsonl"});
   const auto trace_it = args.find("trace");
   if (trace_it == args.end()) return usage();
 

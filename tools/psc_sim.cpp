@@ -17,7 +17,8 @@
 // Keys (defaults in brackets): nodes[3] ops[20] d1_us[20] d2_us[300]
 // eps_us[50] c_us[40] ell_us[10] write_frac[0.5] drift[zigzag] seed[1]
 // super[1] trace[""]   (drift: perfect|offset+|offset-|zigzag|random|
-// opposing|disciplined)
+// opposing|disciplined). A flag the scenario does not read is a usage error
+// naming it (exit status 2).
 //
 // Observability (docs/OBSERVABILITY.md):
 //   --metrics-out=PATH   dump the run's metrics registry as JSONL
@@ -58,12 +59,16 @@
 //                        per-phase totals stream as counter tracks; with
 //                        --metrics-out the exec.prof.* gauges join the dump.
 //   --prof-sample=N      profile every N-th scheduler iteration [64]
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "algos/flood.hpp"
 #include "analysis/bounds.hpp"
@@ -101,6 +106,30 @@ std::map<std::string, std::string> parse_args(int argc, char** argv) {
     }
   }
   return args;
+}
+
+// Flags every scenario reads: the keys all harnesses share and the
+// observability/conformance switches (ObsSetup, --lint, --certify).
+constexpr std::string_view kCommonFlags[] = {
+    "nodes", "d1_us", "d2_us", "seed", "trace", "lint", "certify",
+    "metrics-out", "chrome-trace", "causal-trace", "critical-path",
+    "exec-stats", "flight", "flight-ring", "profile", "prof-sample"};
+
+// Rejects any flag the scenario does not read, naming it (exit status 2):
+// a misspelt or stale flag would otherwise be dropped silently and the run
+// would use the default.
+void reject_unknown_flags(const std::map<std::string, std::string>& args,
+                          const std::string& scenario,
+                          std::initializer_list<std::string_view> own) {
+  for (const auto& [key, value] : args) {
+    if (std::find(std::begin(kCommonFlags), std::end(kCommonFlags), key) ==
+            std::end(kCommonFlags) &&
+        std::find(own.begin(), own.end(), key) == own.end()) {
+      std::cerr << "psc-sim: unknown flag --" << key << " for scenario "
+                << scenario << "\n";
+      std::exit(2);
+    }
+  }
 }
 
 // Numeric flags parse their whole value; a malformed one raises CheckError
@@ -377,9 +406,6 @@ class ObsSetup {
   static void print_exec_stats(const ExecutorStats& s) {
     std::cout << "scheduler: events=" << s.events
               << " time_advances=" << s.time_advances << "\n"
-              << "  wake: pushes=" << s.wake_pushes << " pops=" << s.wake_pops
-              << " stale=" << s.wake_stale_pops
-              << " compactions=" << s.wake_compactions << "\n"
               << "  dirty: flushes=" << s.dirty_flushes
               << " repolls=" << s.dirty_repolls << " peak=" << s.dirty_peak
               << " cache_hit_rate=" << s.cache_hit_rate() << "\n"
@@ -432,6 +458,9 @@ void maybe_dump(const std::string& path, const TimedTrace& events) {
 
 int run_register(const std::string& scenario,
                  const std::map<std::string, std::string>& args) {
+  reject_unknown_flags(args, scenario,
+                       {"ops", "eps_us", "c_us", "ell_us", "write_frac",
+                        "drift", "super"});
   RwRunConfig cfg;
   cfg.num_nodes = static_cast<int>(geti(args, "nodes", 3));
   cfg.ops_per_node = static_cast<int>(geti(args, "ops", 20));
@@ -492,6 +521,8 @@ int run_register(const std::string& scenario,
 }
 
 int run_queue(const std::map<std::string, std::string>& args) {
+  reject_unknown_flags(args, "queue",
+                       {"ops", "eps_us", "write_frac", "drift"});
   QueueRunConfig cfg;
   cfg.num_nodes = static_cast<int>(geti(args, "nodes", 3));
   cfg.ops_per_node = static_cast<int>(geti(args, "ops", 15));
@@ -538,6 +569,7 @@ int run_queue(const std::map<std::string, std::string>& args) {
 // the critical path into COMPLETE is the hop chain source → ... → last
 // node, so --causal-trace / --critical-path demonstrations read well.
 int run_flood(const std::map<std::string, std::string>& args) {
+  reject_unknown_flags(args, "flood", {"margin_us"});
   const int n = static_cast<int>(geti(args, "nodes", 3));
   const Duration d1 = microseconds(geti(args, "d1_us", 20));
   const Duration d2 = microseconds(geti(args, "d2_us", 300));
