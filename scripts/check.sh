@@ -210,7 +210,8 @@ mkdir -p "$FLY_DIR"
 # Every reader of external bytes answers malformed input with a diagnostic
 # and a nonzero exit. Seed a corpus from the tools' own output (a flight
 # snapshot, a text trace, a JSONL trace, and a one-cell sweep cfg), then feed
-# psc-flight, psc-lint --trace= and psc-report seeded byte/line mutants, and
+# psc-flight, psc-lint --trace= and psc-report seeded byte/line mutants (and
+# huge, descending or sparse message uids in the traces), and
 # psc-sim and psc-lint seeded flag mutants, under ASan+UBSan — a fixed
 # budget of mutants shared round-robin; any signal or sanitizer report fails
 # the lane (scripts/mutate_inputs.py). Failing mutants are kept in the

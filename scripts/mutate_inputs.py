@@ -10,14 +10,16 @@ This script takes a corpus the tools emit themselves and feeds each tool M
 seeded mutants of its input, round-robin:
 
     DIR/flood.fly     psc-flight (snapshot decoder)     byte mutations
-    DIR/flood.txt     psc-lint --trace= (text trace)     line + byte mutations
-    DIR/rw.jsonl      psc-lint --trace= (JSONL trace)    line + byte mutations
+    DIR/flood.txt     psc-lint --trace= (text trace)     uid, line + byte
+    DIR/rw.jsonl      psc-lint --trace= (JSONL trace)    uid, line + byte
     DIR/sweep.cfg     psc-report --sweep= (sweep cfg)    line + byte mutations
     psc-sim flags     flood / rw-clock command lines    flag mutations
     psc-lint flags    --certify= / --trace= lines       flag mutations
 
 A flag mutation misspells, drops or duplicates one --key[=value] token of
-a valid command line.
+a valid command line. A uid mutation (one trace mutant in three) rewrites
+every message uid of a trace: a few jump near the top of the 64-bit range,
+the order is reversed, or all are spread by a large stride.
 
 A run fails the script when the tool dies by a signal (an uncaught
 CheckError ends in SIGABRT), exits with the sanitizer exit code, or prints
@@ -32,6 +34,7 @@ failure-<n>.args, one argument per line) so it can be replayed by hand.
 import argparse
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -76,6 +79,42 @@ def mutate_lines(data, rng):
         lines[i] = lines[i][:rng.randrange(len(lines[i]) + 1)]
     return mutate_bytes(b"\n".join(lines), rng) if rng.random() < 0.7 \
         else b"\n".join(lines)
+
+
+# A message uid in the text (m:<kind>:<uid>:...) and JSONL ("uid":<n>) forms.
+UID_PATTERNS = (re.compile(rb"(m:[^:\s]*:)(\d+)"),
+                re.compile(rb'("uid":)(\d+)'))
+
+
+def mutate_uids(data, rng):
+    """Rewrites every message uid: huge, descending or sparse."""
+    uids = sorted({int(m.group(2)) for p in UID_PATTERNS
+                   for m in p.finditer(data)})
+    if not uids:
+        return mutate_lines(data, rng)
+    op = rng.randrange(3)
+    if op == 0:  # huge: one to three uids jump near the top of uint64
+        jump = set(rng.sample(uids, min(len(uids), rng.randint(1, 3))))
+        remap = {u: rng.randrange(2**40, 2**64) if u in jump else u
+                 for u in uids}
+    elif op == 1:  # descending: later messages carry smaller uids
+        remap = {u: uids[0] + uids[-1] - u for u in uids}
+    else:  # sparse: uids spread by a large stride
+        stride = rng.choice((1000, 10**6, 10**9, 2**40))
+        remap = {u: u * stride % 2**64 for u in uids}
+
+    def sub(m):
+        return m.group(1) + str(remap[int(m.group(2))]).encode()
+
+    for p in UID_PATTERNS:
+        data = p.sub(sub, data)
+    return data
+
+
+def mutate_trace(data, rng):
+    """A uid rewrite one time in three, line + byte edits otherwise."""
+    return mutate_uids(data, rng) if rng.randrange(3) == 0 \
+        else mutate_lines(data, rng)
 
 
 def misspell(key, rng):
@@ -132,10 +171,10 @@ def main():
     targets = [
         ("flood.fly", mutate_bytes,
          lambda p: [args.tools / "psc-flight", p, "--jsonl", "--normalize"]),
-        ("flood.txt", mutate_lines,
+        ("flood.txt", mutate_trace,
          lambda p: [args.tools / "psc-lint", f"--trace={p}", *lint_bounds,
                     "--nodes=8"]),
-        ("rw.jsonl", mutate_lines,
+        ("rw.jsonl", mutate_trace,
          lambda p: [args.tools / "psc-lint", f"--trace={p}", *lint_bounds,
                     "--nodes=3"]),
         ("sweep.cfg", mutate_lines,

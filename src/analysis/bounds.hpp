@@ -52,7 +52,7 @@
 
 #include "analysis/diagnostics.hpp"
 #include "analysis/interference.hpp"
-#include "analysis/uid_index.hpp"
+#include "analysis/ledger.hpp"
 #include "analysis/windows.hpp"
 #include "core/trace.hpp"
 #include "obs/probe.hpp"
@@ -144,28 +144,11 @@ class CertificateProbe final : public Probe {
   void on_event(const TimedEvent& e, const Machine& owner) override;
 
  private:
-  struct MsgRec {
-    Time send_time = -1;
-    Time esend_time = -1;
-    Time tag = kNoClockTag;
-  };
   struct EdgeCert {
     BoundWindow real;
     BoundWindow clock;
     bool has_clock = false;
   };
-  // Minimal name dispatch (send/recv legs only), memoized per interned
-  // kind like TraceChecker::name_class.
-  enum class Nc : std::uint8_t {
-    kOther = 0,
-    kSend,
-    kRecv,
-    kESend,
-    kERecv,
-    kUnknown,
-  };
-  static Nc classify_name(const std::string& name);
-  Nc name_class(const TimedEvent& e);
   static std::uint64_t edge_key(int node, int peer) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(node))
             << 32) |
@@ -179,8 +162,7 @@ class CertificateProbe final : public Probe {
   BoundCert cert_;
   DiagnosticReport report_;
   std::unordered_map<std::uint64_t, EdgeCert> by_edge_;
-  UidIndex<MsgRec> msgs_;
-  std::vector<Nc> kind_class_;
+  EventLedger ledger_;
   bool harvested_ = false;
 };
 

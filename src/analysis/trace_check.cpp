@@ -36,9 +36,9 @@ void TraceChecker::observe(const TimedEvent& e) {
     }
   }
 
-  const NameClass nc = name_class(e);
-  check_channel(e, nc);
-  if (opts_.ell >= 0) check_mmt(e, nc);
+  const EventClass cls = ledger_.classify(e);
+  check_channel(e, cls);
+  if (opts_.ell >= 0) check_mmt(e, cls);
 
   if (opts_.check_order && opts_.num_nodes > 0 && opts_.eps >= 0 &&
       e.clock != kNoClockTag) {
@@ -46,175 +46,85 @@ void TraceChecker::observe(const TimedEvent& e) {
   }
 }
 
-TraceChecker::NameClass TraceChecker::classify_name(const std::string& nm) {
-  // Dispatch on (length, lead byte) before any full string comparison:
-  // for events without an interned kind this runs per event, and several
-  // string equalities per event are measurable against the online probe's
-  // <5% ns/event overhead budget (bench_executor's PSC_LINT arm).
-  if (nm.size() == 7) {
-    if (nm[0] == 'S' && nm == "SENDMSG") return NameClass::kSend;
-    if (nm[0] == 'R' && nm == "RECVMSG") return NameClass::kRecv;
-    if (nm[0] == 'M' && nm == "MMTSTEP") return NameClass::kMmtStep;
-    return NameClass::kOther;
-  }
-  if (nm.size() == 8 && nm[0] == 'E') {
-    if (nm[1] == 'S' && nm == "ESENDMSG") return NameClass::kESend;
-    if (nm[1] == 'R' && nm == "ERECVMSG") return NameClass::kERecv;
-    return NameClass::kOther;
-  }
-  if (nm.size() == 4 && nm[0] == 'T' && nm == "TICK") return NameClass::kTick;
-  return NameClass::kOther;
-}
-
-TraceChecker::NameClass TraceChecker::name_class(const TimedEvent& e) {
-  if (e.kind < 0) return classify_name(e.action.name);
-  const std::size_t kid = static_cast<std::size_t>(e.kind);
-  if (kid >= kind_class_.size()) {
-    kind_class_.resize(kid + 1, NameClass::kUnknown);
-  }
-  NameClass& memo = kind_class_[kid];
-  if (memo == NameClass::kUnknown) memo = classify_name(e.action.name);
-  return memo;
-}
-
-void TraceChecker::check_channel(const TimedEvent& e, NameClass nc) {
+void TraceChecker::check_channel(const TimedEvent& e, EventClass cls) {
   const auto& a = e.action;
   if (!a.msg.has_value()) return;
+  const EventLedger::Record& r = ledger_.match(e, cls);
+  if (cls != EventClass::kERecv && cls != EventClass::kRecv) return;
   const std::uint64_t uid = a.msg->uid;
-
-  switch (nc) {
-    case NameClass::kSend:
-      msgs_[uid].send_time = e.time;
-      return;
-    case NameClass::kRecv:
-      check_recv(e, uid);
-      return;
-    case NameClass::kESend: {
-      MsgRecord& r = msgs_[uid];
-      r.esend_time = e.time;
-      if (a.msg->clock_tag != kNoClockTag) r.tag = a.msg->clock_tag;
-      return;
-    }
-    case NameClass::kERecv: {
-      MsgRecord* r = msgs_.find(uid);
-      if (r == nullptr || r->esend_time < 0) {
-        emit(DiagCode::kUnknownDelivery,
-                    "ERECVMSG of uid " + std::to_string(uid) +
-                        " with no matching ESENDMSG",
-                    a.name, e.time);
-        return;
-      }
-      // The tag travels with the message; remember it here too, because the
-      // receive buffer strips it before the RECVMSG release.
-      if (a.msg->clock_tag != kNoClockTag) r->tag = a.msg->clock_tag;
-      // PSC102 (Simulation 1): the physical channel carries (m, c) within
-      // [d1, d2] of real time.
-      if (opts_.d2 >= 0) {
-        const BoundWindow w = delivery_window(opts_.d1, opts_.d2);
-        const Duration lat = e.time - r->esend_time;
-        if (!w.contains(lat)) {
-          std::ostringstream msg;
-          msg << "uid " << uid << " delivered after " << format_time(lat)
-              << ", outside [" << format_time(w.lo) << ", "
-              << format_time(w.hi) << "]";
-          emit(DiagCode::kDeliveryWindow, msg.str(), a.name, e.time);
-        }
-      }
-      return;
-    }
-    default:
-      return;
-  }
-}
-
-void TraceChecker::check_recv(const TimedEvent& e, std::uint64_t uid) {
-  const auto& a = e.action;
-  const MsgRecord* rec = msgs_.find(uid);
-  if (rec == nullptr || (rec->send_time < 0 && rec->esend_time < 0)) {
+  if (cls == EventClass::kERecv ? r.esend_time < 0 : !r.sent()) {
     emit(DiagCode::kUnknownDelivery,
-                "RECVMSG of uid " + std::to_string(uid) +
-                    " with no matching send",
-                a.name, e.time);
+         a.name + " of uid " + std::to_string(uid) + " with no matching " +
+             (cls == EventClass::kERecv ? "ESENDMSG" : "send"),
+         a.name, e.time);
     return;
   }
-  const MsgRecord& r = *rec;
-  if (r.esend_time < 0) {
-    // Timed model: RECVMSG is the physical delivery — check [d1, d2].
-    if (opts_.d2 >= 0 && r.send_time >= 0) {
-      const BoundWindow w = delivery_window(opts_.d1, opts_.d2);
-      const Duration lat = e.time - r.send_time;
-      if (!w.contains(lat)) {
-        std::ostringstream msg;
-        msg << "uid " << uid << " delivered after " << format_time(lat)
-            << ", outside [" << format_time(w.lo) << ", " << format_time(w.hi)
-            << "]";
-        emit(DiagCode::kDeliveryWindow, msg.str(), a.name, e.time);
-      }
+  if (cls == EventClass::kERecv || r.esend_time < 0) {
+    // PSC102: the physical delivery — ERECVMSG under Simulation 1, RECVMSG
+    // in the timed model — lands within [d1, d2] of real time.
+    if (opts_.d2 < 0) return;
+    const BoundWindow w = delivery_window(opts_.d1, opts_.d2);
+    const Duration lat =
+        e.time - (cls == EventClass::kERecv ? r.esend_time : r.send_time);
+    if (!w.contains(lat)) {
+      std::ostringstream msg;
+      msg << "uid " << uid << " delivered after " << format_time(lat)
+          << ", outside [" << format_time(w.lo) << ", " << format_time(w.hi)
+          << "]";
+      emit(DiagCode::kDeliveryWindow, msg.str(), a.name, e.time);
     }
     return;
   }
   // Simulation 1: RECVMSG is the buffer release. The receiver's clock at
   // release is the event's clock reading; the sender's clock is the tag.
-  if (r.tag != kNoClockTag && e.clock != kNoClockTag) {
-    // PSC103: Lamport's condition — never deliver before the local clock
-    // reaches the clock value at which the message was sent.
-    if (e.clock + opts_.slack < r.tag) {
+  if (r.tag == kNoClockTag || e.clock == kNoClockTag) return;
+  // PSC103: Lamport's condition — never deliver before the local clock
+  // reaches the clock value at which the message was sent.
+  if (e.clock + opts_.slack < r.tag) {
+    std::ostringstream msg;
+    msg << "uid " << uid << " released at receiver clock "
+        << format_time(e.clock) << " before its send tag "
+        << format_time(r.tag);
+    emit(DiagCode::kEarlyRelease, msg.str(), a.name, e.time);
+  }
+  // PSC104: Theorem 4.7 — in the simulated timed execution, clock-time
+  // delivery latency lies in [max(d1 - 2eps, 0), d2 + 2eps].
+  if (opts_.d2 >= 0 && opts_.eps >= 0) {
+    const BoundWindow w = thm47_window(opts_.d1, opts_.d2, opts_.eps);
+    const Duration lat = e.clock - r.tag;
+    if (!w.contains(lat, opts_.slack)) {
       std::ostringstream msg;
-      msg << "uid " << uid << " released at receiver clock "
-          << format_time(e.clock) << " before its send tag "
-          << format_time(r.tag);
-      emit(DiagCode::kEarlyRelease, msg.str(), a.name, e.time);
-    }
-    // PSC104: Theorem 4.7 — in the simulated timed execution, clock-time
-    // delivery latency lies in [max(d1 - 2eps, 0), d2 + 2eps].
-    if (opts_.d2 >= 0 && opts_.eps >= 0) {
-      const BoundWindow w = thm47_window(opts_.d1, opts_.d2, opts_.eps);
-      const Duration lat = e.clock - r.tag;
-      if (!w.contains(lat, opts_.slack)) {
-        std::ostringstream msg;
-        msg << "uid " << uid << " clock-time latency " << format_time(lat)
-            << " outside [" << format_time(w.lo) << ", " << format_time(w.hi)
-            << "]";
-        emit(DiagCode::kWidenedWindow, msg.str(), a.name, e.time);
-      }
+      msg << "uid " << uid << " clock-time latency " << format_time(lat)
+          << " outside [" << format_time(w.lo) << ", " << format_time(w.hi)
+          << "]";
+      emit(DiagCode::kWidenedWindow, msg.str(), a.name, e.time);
     }
   }
 }
 
-void TraceChecker::check_mmt(const TimedEvent& e, NameClass nc) {
+void TraceChecker::check_mmt(const TimedEvent& e, EventClass cls) {
+  const BoundWindow w = mmt_window(opts_.ell);
   // PSC105 half 1: the clock subsystem C^m fires a TICK at least every ell
   // (its single task class has boundmap [0, ell], enabled from time 0).
-  if (nc == NameClass::kTick && e.action.node != kNoNode) {
-    const auto it = last_tick_.find(e.action.node);
-    const Time prev = it == last_tick_.end() ? 0 : it->second;
-    if (!mmt_window(opts_.ell).contains(e.time - prev, opts_.slack)) {
+  if (const auto gap = ledger_.tick_gap(e, cls)) {
+    if (!w.contains(*gap, opts_.slack)) {
       std::ostringstream msg;
-      msg << "node " << e.action.node << " tick gap "
-          << format_time(e.time - prev) << " > ell "
-          << format_time(opts_.ell);
-      emit(DiagCode::kBoundmapOverrun, msg.str(), "TICK", e.time);
+      msg << "node " << e.action.node << " tick gap " << format_time(*gap)
+          << " > ell " << format_time(opts_.ell);
+      emit(DiagCode::kBoundmapOverrun, msg.str(), e.action.name, e.time);
     }
-    last_tick_[e.action.node] = e.time;
   }
   // PSC105 half 2: an MMT node (recognized by its MMTSTEP taus) performs a
   // step — output or tau — at least every ell. Gaps are measured between
   // consecutive locally controlled events of the same owner; the trailing
   // gap to the run's end is exempt (the run may stop mid-budget).
-  if (e.owner >= 0) {
-    if (nc == NameClass::kMmtStep) mmt_owners_.insert(e.owner);
-    const auto it = last_local_.find(e.owner);
-    if (mmt_owners_.count(e.owner) != 0) {
-      const Time prev = it == last_local_.end() ? 0 : it->second;
-      if (!mmt_window(opts_.ell).contains(e.time - prev, opts_.slack)) {
-        std::ostringstream msg;
-        msg << "MMT node (owner " << e.owner << ") step gap "
-            << format_time(e.time - prev) << " > ell "
-            << format_time(opts_.ell);
-        emit(DiagCode::kBoundmapOverrun, msg.str(), e.action.name,
-                    e.time);
-      }
+  if (const auto gap = ledger_.step_gap(e, cls)) {
+    if (!w.contains(*gap, opts_.slack)) {
+      std::ostringstream msg;
+      msg << "MMT node (owner " << e.owner << ") step gap "
+          << format_time(*gap) << " > ell " << format_time(opts_.ell);
+      emit(DiagCode::kBoundmapOverrun, msg.str(), e.action.name, e.time);
     }
-    last_local_[e.owner] = e.time;
   }
 }
 

@@ -27,18 +27,17 @@
 // Checks whose parameters are unset (negative) are skipped, so the checker
 // runs meaningfully on any model: a timed-model trace gets PSC102 only, a
 // clock-model trace adds PSC101/103/104/106, an MMT trace adds PSC105.
-// Action names follow the library's conventions (SENDMSG/RECVMSG,
-// ESENDMSG/ERECVMSG, TICK, MMTSTEP); renamed systems need their traces
-// translated back before checking.
+// Events are matched and classified by an EventLedger
+// (analysis/ledger.hpp), so action names follow the library's conventions
+// (SENDMSG/RECVMSG, ESENDMSG/ERECVMSG, TICK, MMTSTEP); renamed systems need
+// their traces translated back before checking.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "analysis/diagnostics.hpp"
-#include "analysis/uid_index.hpp"
+#include "analysis/ledger.hpp"
 #include "core/trace.hpp"
 #include "obs/probe.hpp"
 
@@ -83,52 +82,19 @@ class TraceChecker {
   const DiagnosticReport& report() const { return report_; }
 
  private:
-  // Real-time and clock-time bookkeeping for one message uid.
-  struct MsgRecord {
-    Time send_time = -1;   // SENDMSG (timed model send)
-    Time esend_time = -1;  // ESENDMSG (physical send under Simulation 1)
-    Time tag = kNoClockTag;  // sender clock tag carried by the message
-  };
-
-  // The checker's own dispatch alphabet: which of the conventional action
-  // names an event carries. Computed per event from the name — or, for
-  // events coming off the executor's interned scheduler path
-  // (TimedEvent::kind >= 0), looked up in a per-kind memo so the per-event
-  // cost is an array index instead of string comparisons. Kind ids are
-  // per-run, so one checker must only ever observe one executor's events
-  // (true for the probe and check_trace forms alike); the name fallback
-  // keeps hand-built and legacy-loop traces working.
-  enum class NameClass : std::uint8_t {
-    kOther = 0,
-    kSend,      // SENDMSG
-    kRecv,      // RECVMSG
-    kESend,     // ESENDMSG
-    kERecv,     // ERECVMSG
-    kTick,      // TICK
-    kMmtStep,   // MMTSTEP
-    kUnknown,   // memo slot not yet computed
-  };
-  static NameClass classify_name(const std::string& name);
-  NameClass name_class(const TimedEvent& e);
-
   // report_.add plus the TraceCheckOptions::on_violation hook for
   // error-severity codes.
   void emit(DiagCode code, std::string message, std::string machine = "",
             Time time = -1);
 
-  void check_channel(const TimedEvent& e, NameClass nc);
-  // RECVMSG leg of check_channel: physical delivery in the timed model,
-  // buffer release (Lamport condition + Theorem 4.7 window) under Sim 1.
-  void check_recv(const TimedEvent& e, std::uint64_t uid);
-  void check_mmt(const TimedEvent& e, NameClass nc);
+  // Deliveries: the physical leg against [d1, d2] (PSC102), a Simulation 1
+  // buffer release against its tag (PSC103) and Theorem 4.7 (PSC104).
+  void check_channel(const TimedEvent& e, EventClass cls);
+  void check_mmt(const TimedEvent& e, EventClass cls);
 
-  std::vector<NameClass> kind_class_;  // ActionKindId -> NameClass memo
   TraceCheckOptions opts_;
   DiagnosticReport report_;
-  UidIndex<MsgRecord> msgs_;
-  std::unordered_map<int, Time> last_tick_;     // node -> last TICK time
-  std::unordered_map<int, Time> last_local_;    // owner -> last event time
-  std::unordered_set<int> mmt_owners_;          // owners that emitted MMTSTEP
+  EventLedger ledger_;
   TimedTrace clocked_;  // retained for PSC106 when enabled
   bool finalized_ = false;
 };

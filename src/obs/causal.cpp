@@ -26,37 +26,6 @@ const char* to_string(EdgeKind k) {
   return "?";
 }
 
-// --- MessageIndex ---------------------------------------------------------
-
-MessageIndex::Stage MessageIndex::stage_of(std::string_view name) {
-  if (name == "SENDMSG") return Stage::kSend;
-  if (name == "ESENDMSG") return Stage::kESend;
-  if (name == "ERECVMSG") return Stage::kERecv;
-  if (name == "RECVMSG") return Stage::kRecv;
-  return Stage::kNone;
-}
-
-void MessageIndex::observe(const TimedEvent& e, SpanId span) {
-  if (!e.action.msg.has_value()) return;
-  const Stage stage = stage_of(e.action.name);
-  if (stage == Stage::kNone) return;
-  Record& rec = map_[e.action.msg->uid];
-  if ((stage == Stage::kSend || stage == Stage::kESend) && rec.send_time < 0) {
-    // First send wins: in the clock model SENDMSG and ESENDMSG carry the
-    // same uid at the same real time (the send buffer forwards urgently).
-    rec.send_time = e.time;
-    rec.send_span = span;
-  }
-  rec.last_time = e.time;
-  rec.last_span = span;
-  rec.last_stage = stage;
-}
-
-const MessageIndex::Record* MessageIndex::find(std::uint64_t uid) const {
-  const auto it = map_.find(uid);
-  return it == map_.end() ? nullptr : &it->second;
-}
-
 // --- CausalDag ------------------------------------------------------------
 
 std::uint32_t CausalDag::intern_name(const std::string& n) {
@@ -250,11 +219,12 @@ void CausalTraceProbe::on_event(const TimedEvent& e, const Machine& owner) {
   // (a) program order within the process. MMT nodes act only on their
   // [0, ell] step schedule (fed by TICKs), so the wait their outputs spent
   // in the pending queue is tick/step time, not algorithm time.
+  const EventClass cls = ledger_.classify(e);
   if (proc >= last_in_proc_.size()) last_in_proc_.resize(proc + 1, kNoSpan);
   if (last_in_proc_[proc] != kNoSpan) {
     CausalEdge pe;
     pe.from = last_in_proc_[proc];
-    pe.kind = (e.action.name != "TICK" &&
+    pe.kind = (cls != EventClass::kTick &&
                dynamic_cast<const MmtNode*>(&owner) != nullptr)
                   ? EdgeKind::kTick
                   : EdgeKind::kProgram;
@@ -265,21 +235,21 @@ void CausalTraceProbe::on_event(const TimedEvent& e, const Machine& owner) {
   // (b) message causality: link from the uid's previous stage. The stage
   // pair names where the elapsed time hid — channel transit or a
   // Simulation-1 buffer.
-  bool flow_emitted = false;
-  if (e.action.msg.has_value()) {
-    using Stage = MessageIndex::Stage;
-    const Stage stage = MessageIndex::stage_of(e.action.name);
-    const MessageIndex::Record* rec =
-        stage == Stage::kNone ? nullptr : index_.find(e.action.msg->uid);
-    if (rec != nullptr && rec->last_span != kNoSpan &&
-        rec->last_span != id) {
+  const bool send = cls == EventClass::kSend || cls == EventClass::kESend;
+  if (e.action.msg.has_value() &&
+      (send || cls == EventClass::kERecv || cls == EventClass::kRecv)) {
+    const std::uint64_t uid = e.action.msg->uid;
+    Link& link = links_[uid];
+    bool flow_emitted = false;
+    if (link.span != kNoSpan) {
       CausalEdge me;
-      me.from = rec->last_span;
-      if (stage == Stage::kESend) {
+      me.from = link.span;
+      if (cls == EventClass::kESend) {
         me.kind = EdgeKind::kBuffer;  // send-buffer forward (urgent, 0ns)
-      } else if (stage == Stage::kRecv && rec->last_stage == Stage::kERecv) {
+      } else if (cls == EventClass::kRecv &&
+                 link.cls == EventClass::kERecv) {
         me.kind = EdgeKind::kBuffer;  // Sim1 receive-buffer hold
-        const auto rit = releases_.find(e.action.msg->uid);
+        const auto rit = releases_.find(uid);
         if (rit != releases_.end()) {
           me.clock_hold = rit->second.clock_hold;
           me.waited = rit->second.waited;
@@ -292,22 +262,18 @@ void CausalTraceProbe::on_event(const TimedEvent& e, const Machine& owner) {
       if (trace_ != nullptr) {
         // RECVMSG terminates a chain (buffers strip the clock tag and the
         // algorithm consumes m); everything in between is a step.
-        if (stage == Stage::kRecv) {
-          trace_->flow_end(e.action.msg->kind, e.action.msg->uid, e.time,
-                           e.owner);
+        if (cls == EventClass::kRecv) {
+          trace_->flow_end(e.action.msg->kind, uid, e.time, e.owner);
         } else {
-          trace_->flow_step(e.action.msg->kind, e.action.msg->uid, e.time,
-                            e.owner);
+          trace_->flow_step(e.action.msg->kind, uid, e.time, e.owner);
         }
         flow_emitted = true;
       }
     }
-    if (trace_ != nullptr && !flow_emitted &&
-        (stage == Stage::kSend || stage == Stage::kESend)) {
-      trace_->flow_start(e.action.msg->kind, e.action.msg->uid, e.time,
-                         e.owner);
+    if (trace_ != nullptr && !flow_emitted && send) {
+      trace_->flow_start(e.action.msg->kind, uid, e.time, e.owner);
     }
-    index_.observe(e, id);
+    link = Link{id, cls};
   }
 
   dag_.stamp(id);

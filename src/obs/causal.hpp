@@ -21,9 +21,6 @@
 // a critical path through the DAG is also a latency attribution.
 //
 // Components:
-//   MessageIndex      the uid → send/last-event index, the single source
-//                     of truth for message matching (ChannelLatencyProbe
-//                     shares it instead of keeping a private map);
 //   CausalDag         compact in-memory DAG with vector-clock stamping,
 //                     happens-before queries, critical-path extraction,
 //                     and JSONL export;
@@ -40,6 +37,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "analysis/ledger.hpp"
 #include "core/trace.hpp"
 #include "obs/probe.hpp"
 
@@ -97,39 +95,6 @@ struct CriticalPath {
   Duration total = 0;               // sum of durs == span(sink).time
   // Per-kind latency attribution: where the sink's completion time hides.
   std::array<Duration, kNumEdgeKinds> by_kind{};
-};
-
-// --- MessageIndex ---------------------------------------------------------
-
-// uid → send/last-event index over the run's message actions. Exactly one
-// feeder calls observe() per event (CausalTraceProbe when present, else
-// the probe that owns the index), so send→deliver matching lives in one
-// place; any number of consumers read it.
-class MessageIndex {
- public:
-  enum class Stage : std::uint8_t { kNone, kSend, kESend, kERecv, kRecv };
-
-  struct Record {
-    Time send_time = -1;         // real time of the first SENDMSG/ESENDMSG
-    SpanId send_span = kNoSpan;  // span of that send (kNoSpan if unnumbered)
-    Time last_time = -1;         // latest event touching this uid
-    SpanId last_span = kNoSpan;
-    Stage last_stage = Stage::kNone;
-  };
-
-  // SENDMSG/ESENDMSG/ERECVMSG/RECVMSG → stage; anything else kNone.
-  static Stage stage_of(std::string_view name);
-
-  // Records `e` when it carries a message; `span` is the event's ordinal
-  // (kNoSpan when the feeder does not number events).
-  void observe(const TimedEvent& e, SpanId span);
-
-  const Record* find(std::uint64_t uid) const;
-  std::size_t size() const { return map_.size(); }
-  void clear() { map_.clear(); }
-
- private:
-  std::unordered_map<std::uint64_t, Record> map_;
 };
 
 // --- CausalDag ------------------------------------------------------------
@@ -211,7 +176,6 @@ class CausalTraceProbe final : public Probe {
   void watch(ReceiveBuffer* rb);
 
   const CausalDag& dag() const { return dag_; }
-  const MessageIndex& index() const { return index_; }
 
   void on_event(const TimedEvent& e, const Machine& owner) override;
 
@@ -220,9 +184,15 @@ class CausalTraceProbe final : public Probe {
     Duration clock_hold = 0;
     bool waited = false;
   };
+  // The uid's latest message span: the source of the next stage's edge.
+  struct Link {
+    SpanId span = kNoSpan;
+    EventClass cls = EventClass::kOther;
+  };
 
   CausalDag dag_;
-  MessageIndex index_;
+  EventLedger ledger_;  // classification only; spans are DAG data
+  std::unordered_map<std::uint64_t, Link> links_;
   ChromeTraceWriter* trace_ = nullptr;
   std::vector<SpanId> last_in_proc_;  // proc index → latest span
   std::unordered_map<std::uint64_t, Release> releases_;

@@ -184,7 +184,7 @@ FlightSnapshot read_snapshot(std::istream& is) {
               "flight snapshot: kind name id out of range");
     k.node = get_raw<std::int32_t>(is);
     k.peer = get_raw<std::int32_t>(is);
-    k.cls = static_cast<FlightClass>(get_raw<std::uint8_t>(is));
+    k.cls = static_cast<EventClass>(get_raw<std::uint8_t>(is));
     char pad[3];
     is.read(pad, 3);
     snap.kinds.push_back(k);

@@ -47,6 +47,7 @@
 #include <variant>
 #include <vector>
 
+#include "analysis/ledger.hpp"  // EventClass, classify_name
 #include "core/trace.hpp"
 #include "obs/metrics.hpp"  // percentile_cut — shared percentile walk
 
@@ -129,20 +130,6 @@ class LogHistogram {
 
 // --- the recorded POD ------------------------------------------------------
 
-// How an event's action name relates to the library's messaging
-// conventions; computed once per interned kind (never per event) and stored
-// both in the kind table and in every record, so offline consumers can
-// dispatch without the string table.
-enum class FlightClass : std::uint8_t {
-  kOther = 0,
-  kSend,     // SENDMSG   (user-level send)
-  kRecv,     // RECVMSG   (delivery / Sim1 buffer release)
-  kESend,    // ESENDMSG  (physical send under Simulation 1)
-  kERecv,    // ERECVMSG  (physical delivery under Simulation 1)
-  kTick,     // TICK
-  kMmtStep,  // MMTSTEP
-};
-
 // One ring slot: everything write_trace would emit for the event, with
 // every string replaced by an id into the recorder's intern tables. Two
 // cache lines, trivially copyable — the snapshot file stores these raw.
@@ -171,7 +158,7 @@ struct alignas(16) FlightRecord {
   std::uint8_t flags;
   std::uint8_t nargs;
   std::uint8_t nfields;
-  std::uint8_t cls;  // FlightClass of `kind`, denormalized
+  std::uint8_t cls;  // EventClass of `kind`, denormalized
   std::uint8_t arg_tag[kSlots];
   std::uint8_t field_tag[kSlots];
   std::int64_t arg[kSlots];
@@ -308,7 +295,7 @@ struct FlightSnapshot {
     std::uint32_t name_id = 0;  // index into strings
     std::int32_t node = kNoNode;
     std::int32_t peer = kNoNode;
-    FlightClass cls = FlightClass::kOther;
+    EventClass cls = EventClass::kOther;
   };
 
   std::uint32_t version = 1;
@@ -439,17 +426,6 @@ class FlightRecorder {
   // plus flight.recorded / flight.dropped counters.
   void export_metrics(MetricsRegistry& reg) const;
 
-  // Cold classification of an action name against the library's messaging
-  // conventions; runs once per interned kind.
-  static FlightClass classify_name(const std::string& name) {
-    if (name == "SENDMSG") return FlightClass::kSend;
-    if (name == "RECVMSG") return FlightClass::kRecv;
-    if (name == "ESENDMSG") return FlightClass::kESend;
-    if (name == "ERECVMSG") return FlightClass::kERecv;
-    if (name == "TICK") return FlightClass::kTick;
-    if (name == "MMTSTEP") return FlightClass::kMmtStep;
-    return FlightClass::kOther;
-  }
 
  private:
   static constexpr std::uint32_t kNoFlightKind = ~std::uint32_t{0};
@@ -471,7 +447,7 @@ class FlightRecorder {
     std::uint32_t name_id = 0;
     std::int32_t node = kNoNode;
     std::int32_t peer = kNoNode;
-    FlightClass cls = FlightClass::kOther;
+    EventClass cls = EventClass::kOther;
     std::uint32_t mkind = 0;       // message-kind memo for the legacy path
     std::uint16_t step_id = 0;     // shared per action name
   };
@@ -595,7 +571,7 @@ class FlightRecorder {
   // to avoid. Collisions simply retake the slow path.
   struct NameRef {
     std::uint32_t id = 0;  // 0 = cache slot empty (id 0 is the reserved "")
-    FlightClass cls = FlightClass::kOther;
+    EventClass cls = EventClass::kOther;
     std::uint16_t step_id = 0;
   };
 
@@ -667,16 +643,16 @@ class FlightRecorder {
     }
     if ((r.flags & FlightRecord::kHasMsg) == 0) return;
     Time t;
-    switch (static_cast<FlightClass>(cls)) {
-      case FlightClass::kSend:
-      case FlightClass::kESend:
+    switch (static_cast<EventClass>(cls)) {
+      case EventClass::kSend:
+      case EventClass::kESend:
         sent_.put(r.uid, e.time);
         break;
-      case FlightClass::kERecv:
+      case EventClass::kERecv:
         if (sent_.take(r.uid, &t)) chan_.add(e.time - t);
         arrived_.put(r.uid, e.time);
         break;
-      case FlightClass::kRecv:
+      case EventClass::kRecv:
         if (arrived_.take(r.uid, &t)) {
           hold_.add(e.time - t);
         } else if (sent_.take(r.uid, &t)) {

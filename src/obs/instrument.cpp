@@ -47,11 +47,7 @@ ChannelLatencyProbe* RunObserver::add_channel_latency(Duration d1,
                                                       Duration d2) {
   MetricsRegistry* reg = sink();
   if (reg == nullptr) return nullptr;
-  // With a causal probe in play its MessageIndex is the single matching
-  // index; attach() wires the causal probe first so it is fed in time.
-  const MessageIndex* shared =
-      opts_.causal != nullptr ? &opts_.causal->index() : nullptr;
-  auto p = std::make_unique<ChannelLatencyProbe>(*reg, d1, d2, shared);
+  auto p = std::make_unique<ChannelLatencyProbe>(*reg, d1, d2);
   ChannelLatencyProbe* out = p.get();
   probes_.push_back(std::move(p));
   return out;

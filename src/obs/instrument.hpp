@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "clock/trajectory.hpp"
+#include "obs/causal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observatory.hpp"
 #include "obs/probes.hpp"
@@ -44,9 +45,8 @@ struct ObsOptions {
   // instants) — useful for long runs where the event stream would dominate.
   bool events_in_trace = true;
   // Caller-owned causal-tracing probe (obs/causal.hpp). attach() wires it
-  // before the metric probes (so ChannelLatencyProbe can read its
-  // MessageIndex) and hands it the shared chrome writer for flow events.
-  // The caller keeps it to query the DAG after the run.
+  // right after the event-trace probe and hands it the shared chrome writer
+  // for flow events. The caller keeps it to query the DAG after the run.
   CausalTraceProbe* causal = nullptr;
   // Snapshot the executor's scheduler self-metrics (ExecutorStats) into the
   // registry at run end. Off by default so runs that pin exact registry
@@ -126,8 +126,9 @@ class RunObserver {
 
   // Attaches every probe to the executor: event-trace probe first (so
   // later probes may stream into an open document), then the caller's
-  // causal probe (so probes sharing its MessageIndex read a fed index),
-  // then the constructed metric probes.
+  // causal, invariant and certificate probes, then the constructed metric
+  // probes. Each probe matches messages through its own EventLedger, so
+  // no probe depends on another having run first.
   void attach(Executor& exec);
 
  private:

@@ -169,9 +169,10 @@ Gauge* BoundSlackProbe::channel_gauge(const Machine& owner) {
 }
 
 void BoundSlackProbe::on_event(const TimedEvent& e, const Machine& owner) {
+  const EventClass cls = ledger_.classify(e);
   if (ceps_hist_) feed_ceps(e);
-  if (delivery_hist_) feed_channel(e, owner);
-  if (mmt_hist_) feed_mmt(e);
+  if (delivery_hist_) feed_channel(e, cls, owner);
+  if (mmt_hist_) feed_mmt(e, cls);
 }
 
 void BoundSlackProbe::feed_ceps(const TimedEvent& e) {
@@ -186,55 +187,16 @@ void BoundSlackProbe::feed_ceps(const TimedEvent& e) {
   }
 }
 
-void BoundSlackProbe::feed_channel(const TimedEvent& e, const Machine& owner) {
-  const Action& a = e.action;
-  if (!a.msg.has_value()) return;
-  const std::uint64_t uid = a.msg->uid;
-  const std::string& nm = a.name;
-
-  // Same (length, lead byte) pre-dispatch as TraceChecker::check_channel:
-  // the probe runs on every message event and is held to the <5% ns/event
-  // overhead budget (bench_executor's PSC_OBS arm).
-  if (nm.size() == 7) {
-    if (nm[0] == 'S' && nm == "SENDMSG") {
-      msgs_[uid].send_time = e.time;
-    } else if (nm[0] == 'R' && nm == "RECVMSG") {
-      feed_recv(e, owner, uid);
-    }
-    return;
-  }
-  if (nm.size() != 8 || nm[0] != 'E') return;
-
-  if (nm[1] == 'S' && nm == "ESENDMSG") {
-    MsgRecord& r = msgs_[uid];
-    r.esend_time = e.time;
-    if (a.msg->clock_tag != kNoClockTag) r.tag = a.msg->clock_tag;
-    return;
-  }
-
-  if (nm[1] == 'R' && nm == "ERECVMSG") {
-    MsgRecord* rec = msgs_.find(uid);
-    if (rec == nullptr || rec->esend_time < 0) return;
-    if (a.msg->clock_tag != kNoClockTag) rec->tag = a.msg->clock_tag;
-    // Simulation 1 physical delivery: latency slack against [d1, d2].
-    const Duration slack = delivery_.slack(e.time - rec->esend_time);
-    feed(delivery_hist_, &min_delivery_, slack);
-    if (opts_.per_channel) {
-      channel_gauge(owner)->set(static_cast<double>(slack));
-    }
-  }
-}
-
-void BoundSlackProbe::feed_recv(const TimedEvent& e, const Machine& owner,
-                                std::uint64_t uid) {
-  const Action& a = e.action;
-  const MsgRecord* rec = msgs_.find(uid);
-  if (rec == nullptr) return;
-  const MsgRecord& r = *rec;
-  if (r.esend_time < 0) {
-    // Timed model: RECVMSG is the physical delivery.
-    if (r.send_time < 0) return;
-    const Duration slack = delivery_.slack(e.time - r.send_time);
+void BoundSlackProbe::feed_channel(const TimedEvent& e, EventClass cls,
+                                   const Machine& owner) {
+  const EventLedger::Record& r = ledger_.match(e, cls);
+  if (cls != EventClass::kERecv && cls != EventClass::kRecv) return;
+  if (cls == EventClass::kERecv || r.esend_time < 0) {
+    // The physical delivery — ERECVMSG under Simulation 1, RECVMSG in the
+    // timed model: latency slack against [d1, d2].
+    const Time sent = cls == EventClass::kERecv ? r.esend_time : r.send_time;
+    if (sent < 0) return;
+    const Duration slack = delivery_.slack(e.time - sent);
     feed(delivery_hist_, &min_delivery_, slack);
     if (opts_.per_channel) {
       channel_gauge(owner)->set(static_cast<double>(slack));
@@ -245,36 +207,27 @@ void BoundSlackProbe::feed_recv(const TimedEvent& e, const Machine& owner,
   if (thm47_hist_ && r.tag != kNoClockTag && e.clock != kNoClockTag) {
     const Duration slack = thm47_.slack(e.clock - r.tag);
     feed(thm47_hist_, &min_thm47_, slack);
-    if (opts_.per_node && a.node != kNoNode) {
-      node_gauge(thm47_gauges_, "slack.thm47_ns", a.node)
+    if (opts_.per_node && e.action.node != kNoNode) {
+      node_gauge(thm47_gauges_, "slack.thm47_ns", e.action.node)
           ->set(static_cast<double>(slack));
     }
   }
 }
 
-void BoundSlackProbe::feed_mmt(const TimedEvent& e) {
+void BoundSlackProbe::feed_mmt(const TimedEvent& e, EventClass cls) {
   // Boundmap slack is one-sided: [0, ell]'s lower edge is trivially
   // satisfied by any gap (a *small* gap is eagerness, not tightness), so
   // only the distance to the deadline ell counts.
-  if (e.action.name == "TICK" && e.action.node != kNoNode) {
-    const auto it = last_tick_.find(e.action.node);
-    const Time prev = it == last_tick_.end() ? 0 : it->second;
-    const Duration slack = mmt_.hi - (e.time - prev);
+  if (const auto gap = ledger_.tick_gap(e, cls)) {
+    const Duration slack = mmt_.hi - *gap;
     feed(mmt_hist_, &min_mmt_, slack);
     if (opts_.per_node) {
       node_gauge(mmt_gauges_, "slack.mmt_ns", e.action.node)
           ->set(static_cast<double>(slack));
     }
-    last_tick_[e.action.node] = e.time;
   }
-  if (e.owner >= 0) {
-    if (e.action.name == "MMTSTEP") mmt_owners_.insert(e.owner);
-    if (mmt_owners_.count(e.owner) != 0) {
-      const auto it = last_local_.find(e.owner);
-      const Time prev = it == last_local_.end() ? 0 : it->second;
-      feed(mmt_hist_, &min_mmt_, mmt_.hi - (e.time - prev));
-    }
-    last_local_[e.owner] = e.time;
+  if (const auto gap = ledger_.step_gap(e, cls)) {
+    feed(mmt_hist_, &min_mmt_, mmt_.hi - *gap);
   }
 }
 

@@ -28,10 +28,9 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "analysis/uid_index.hpp"
+#include "analysis/ledger.hpp"
 #include "analysis/windows.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probe.hpp"
@@ -154,22 +153,14 @@ class BoundSlackProbe final : public Probe {
   std::uint64_t violations() const { return violations_->value(); }
 
  private:
-  // Same uid bookkeeping as TraceChecker::check_channel — the window math
-  // is shared (analysis/windows.hpp); the matching is re-derived here so
-  // the probe runs standalone on any assembly.
-  struct MsgRecord {
-    Time send_time = -1;
-    Time esend_time = -1;
-    Time tag = kNoClockTag;
-  };
-
   void feed_ceps(const TimedEvent& e);
-  void feed_channel(const TimedEvent& e, const Machine& owner);
-  // RECVMSG leg of feed_channel: delivery-band slack in the timed model,
-  // Theorem 4.7 window slack for a Simulation 1 buffer release.
-  void feed_recv(const TimedEvent& e, const Machine& owner,
-                 std::uint64_t uid);
-  void feed_mmt(const TimedEvent& e);
+  // Delivery-band slack for the physical delivery, Theorem 4.7 window
+  // slack for a Simulation 1 buffer release. Matching goes through the
+  // probe's own EventLedger, as for the invariant checker; the window math
+  // is shared (analysis/windows.hpp).
+  void feed_channel(const TimedEvent& e, EventClass cls,
+                    const Machine& owner);
+  void feed_mmt(const TimedEvent& e, EventClass cls);
   void feed(Histogram* hist, Duration* min_seen, Duration slack);
   // Per-entity gauges are cached by node id / machine identity so the hot
   // path never builds a name string; the registry name is built once on
@@ -192,10 +183,7 @@ class BoundSlackProbe final : public Probe {
   Duration min_thm47_ = kTimeMax;
   Duration min_mmt_ = kTimeMax;
 
-  UidIndex<MsgRecord> msgs_;
-  std::unordered_map<int, Time> last_tick_;   // node -> last TICK time
-  std::unordered_map<int, Time> last_local_;  // owner -> last event time
-  std::unordered_set<int> mmt_owners_;        // owners that emitted MMTSTEP
+  EventLedger ledger_;
   std::unordered_map<int, Gauge*> ceps_gauges_, thm47_gauges_, mmt_gauges_;
   std::unordered_map<const Machine*, Gauge*> channel_gauges_;
 };

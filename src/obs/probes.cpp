@@ -72,9 +72,8 @@ void ClockSkewProbe::on_event(const TimedEvent& e, const Machine& /*owner*/) {
 // --- ChannelLatencyProbe ---------------------------------------------------
 
 ChannelLatencyProbe::ChannelLatencyProbe(MetricsRegistry& reg, Duration d1,
-                                         Duration d2,
-                                         const MessageIndex* shared)
-    : d1_(d1), d2_(d2), index_(shared != nullptr ? shared : &own_) {
+                                         Duration d2)
+    : d1_(d1), d2_(d2) {
   const double lo = static_cast<double>(d1);
   const double hi = static_cast<double>(std::max(d2, d1 + 1));
   latency_ = &reg.histogram("channel.latency_ns",
@@ -88,21 +87,17 @@ ChannelLatencyProbe::ChannelLatencyProbe(MetricsRegistry& reg, Duration d1,
 void ChannelLatencyProbe::on_event(const TimedEvent& e,
                                    const Machine& owner) {
   if (!e.action.msg.has_value()) return;
-  // Feed the private index when no shared one was given (a shared index is
-  // fed by its owner, attached before us — feeding it twice would be a bug,
-  // and const-ness enforces that we cannot).
-  if (index_ == &own_) own_.observe(e, kNoSpan);
+  const EventClass cls = ledger_.classify(e);
+  const EventLedger::Record& r = ledger_.match(e, cls);
   // Only the channel's own delivery is bound by [d1, d2]; the composite's
   // internal RECVMSG (receive buffer -> algorithm) may be held longer.
-  const MessageIndex::Stage stage = MessageIndex::stage_of(e.action.name);
-  if (stage != MessageIndex::Stage::kERecv &&
-      stage != MessageIndex::Stage::kRecv) {
-    return;
-  }
+  if (cls != EventClass::kERecv && cls != EventClass::kRecv) return;
   if (dynamic_cast<const Channel*>(&owner) == nullptr) return;
-  const MessageIndex::Record* rec = index_->find(e.action.msg->uid);
-  if (rec == nullptr || rec->send_time < 0) return;
-  const Duration latency = e.time - rec->send_time;
+  // Latency runs from the message's first send: its SENDMSG, which
+  // precedes the ESENDMSG of the same uid when both exist.
+  const Time sent = r.send_time >= 0 ? r.send_time : r.esend_time;
+  if (sent < 0) return;
+  const Duration latency = e.time - sent;
   latency_->add(static_cast<double>(latency));
   delivered_->add();
   if (latency < d1_ || latency > d2_) violations_->add();
@@ -150,13 +145,11 @@ void Sim1BufferProbe::on_event(const TimedEvent& e, const Machine& /*owner*/) {
   // ERECVMSG: the channel handed (m, c) to the node; the receive buffer may
   // hold it until the local clock reaches c. RECVMSG with the same uid is
   // the release to the algorithm; the difference is the real-time hold.
-  if (e.action.name == "ERECVMSG") {
-    arrived_.emplace(e.action.msg->uid, e.time);
-  } else if (e.action.name == "RECVMSG") {
-    const auto it = arrived_.find(e.action.msg->uid);
-    if (it == arrived_.end()) return;
-    hold_->add(static_cast<double>(e.time - it->second));
-    arrived_.erase(it);
+  const EventClass cls = ledger_.classify(e);
+  if (cls != EventClass::kERecv && cls != EventClass::kRecv) return;
+  const EventLedger::Record& r = ledger_.match(e, cls);
+  if (cls == EventClass::kRecv && r.erecv_time >= 0) {
+    hold_->add(static_cast<double>(e.time - r.erecv_time));
   }
 }
 
@@ -188,16 +181,17 @@ MmtProbe::MmtProbe(MetricsRegistry& reg) : reg_(reg) {
 void MmtProbe::watch(const MmtNode* node) { nodes_.push_back(node); }
 
 void MmtProbe::on_event(const TimedEvent& e, const Machine& owner) {
-  if (e.action.name == "TICK") {
-    last_tick_[e.action.node] = e.time;
+  const EventClass cls = ledger_.classify(e);
+  if (cls == EventClass::kTick) {
+    ledger_.tick_gap(e, cls);  // records the tick; the gap is PSC105's
     ticks_->add();
     return;
   }
   if (e.action.node == kNoNode) return;
   if (dynamic_cast<const MmtNode*>(&owner) == nullptr) return;
-  const auto it = last_tick_.find(e.action.node);
-  if (it == last_tick_.end()) return;
-  tick_to_action_->add(static_cast<double>(e.time - it->second));
+  const std::optional<Time> tick = ledger_.last_tick(e.action.node);
+  if (!tick) return;
+  tick_to_action_->add(static_cast<double>(e.time - *tick));
 }
 
 void MmtProbe::on_run_end(Time /*now*/) {

@@ -6,12 +6,11 @@
 //                       automaton's delivery window (Figure 1). Sends and
 //                       deliveries are matched exactly by message uid
 //                       (Section 3's uniqueness assumption, made load-
-//                       bearing) through a MessageIndex (obs/causal.hpp) —
-//                       either a shared one fed by a CausalTraceProbe or a
-//                       private one the probe feeds itself; only deliveries
-//                       performed by a Channel machine are validated, so
-//                       the probe is correct in the timed, clock, and MMT
-//                       assemblies alike.
+//                       bearing) through the probe's EventLedger
+//                       (analysis/ledger.hpp); only deliveries performed by
+//                       a Channel machine are validated, so the probe is
+//                       correct in the timed, clock, and MMT assemblies
+//                       alike.
 //   Sim1BufferProbe     Simulation 1's cost: receive/send-buffer occupancy
 //                       over time plus per-message hold time (ERECVMSG ->
 //                       RECVMSG), the quantity Section 7.2 argues is small.
@@ -28,11 +27,10 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "analysis/ledger.hpp"
 #include "clock/trajectory.hpp"
-#include "obs/causal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probe.hpp"
 
@@ -76,12 +74,7 @@ class ChannelLatencyProbe final : public Probe {
  public:
   // [d1, d2] are the *physical* bounds of the channels in the composition
   // (what Channel was constructed with), not the algorithm's design bounds.
-  // With `shared` set the probe reads send times from an index fed by
-  // someone attached earlier in the probe list (the CausalTraceProbe);
-  // otherwise it owns and feeds a private one. Either way the uid-matching
-  // logic lives in MessageIndex — there is exactly one implementation.
-  ChannelLatencyProbe(MetricsRegistry& reg, Duration d1, Duration d2,
-                      const MessageIndex* shared = nullptr);
+  ChannelLatencyProbe(MetricsRegistry& reg, Duration d1, Duration d2);
 
   void on_event(const TimedEvent& e, const Machine& owner) override;
 
@@ -90,8 +83,7 @@ class ChannelLatencyProbe final : public Probe {
 
  private:
   Duration d1_, d2_;
-  const MessageIndex* index_;  // shared or &own_
-  MessageIndex own_;           // fed only when no shared index was given
+  EventLedger ledger_;
   Histogram* latency_;
   Counter* delivered_;
   Counter* violations_;
@@ -122,7 +114,7 @@ class Sim1BufferProbe final : public Probe {
   Gauge* recv_occupancy_;
   Gauge* send_occupancy_;
   Histogram* hold_;  // per-message ERECVMSG -> RECVMSG hold time (real ns)
-  std::unordered_map<std::uint64_t, Time> arrived_;  // uid -> ERECVMSG time
+  EventLedger ledger_;
   std::int64_t last_recv_occ_ = -1;
   std::int64_t last_send_occ_ = -1;
 };
@@ -140,7 +132,7 @@ class MmtProbe final : public Probe {
  private:
   MetricsRegistry& reg_;
   std::vector<const MmtNode*> nodes_;
-  std::unordered_map<int, Time> last_tick_;  // node -> last TICK time
+  EventLedger ledger_;
   Histogram* tick_to_action_;
   Counter* ticks_;
 };

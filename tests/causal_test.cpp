@@ -110,17 +110,16 @@ TEST(CausalDag, FloodRingFixedDelaySpans) {
   ASSERT_EQ(dag.size(), 10u);  // 3x (RECVMSG DELIVER SENDMSG) + COMPLETE
   EXPECT_EQ(dag.process_count(), 3u);  // every action carries a node id
 
-  // Every channel edge spans exactly the fixed transit time, and the
-  // shared MessageIndex knows each delivered uid's first-send time.
+  // Every channel edge spans exactly the fixed transit time, from the
+  // delivered uid's SENDMSG span.
   const std::size_t channel_edges = count_edges(dag, EdgeKind::kChannel);
   EXPECT_EQ(channel_edges, 3u);
   for (SpanId i = 0; i < static_cast<SpanId>(dag.size()); ++i) {
     for (const CausalEdge& e : dag.preds(i)) {
       if (e.kind != EdgeKind::kChannel) continue;
       EXPECT_EQ(dag.span(i).time - dag.span(e.from).time, kFixed);
-      const MessageIndex::Record* rec = probe.index().find(dag.span(i).uid);
-      ASSERT_NE(rec, nullptr);
-      EXPECT_EQ(rec->send_time, dag.span(e.from).time);
+      EXPECT_EQ(dag.name(e.from), "SENDMSG");
+      EXPECT_EQ(dag.span(e.from).uid, dag.span(i).uid);
     }
   }
   // Timed model: no Simulation-1 buffers, no MMT nodes.
@@ -316,70 +315,6 @@ TEST(CausalProbe, TickEdgesOnlyInMmtRuns) {
   cfg.obs = &mmt_obs;
   run_rw_mmt(cfg, PerfectDrift(), /*ell=*/microseconds(10), /*k=*/2);
   EXPECT_GT(count_edges(mmt_probe.dag(), EdgeKind::kTick), 0u);
-}
-
-// --- ChannelLatencyProbe on the shared MessageIndex ----------------------
-
-TEST(CausalProbe, SharedIndexLeavesChannelMetricsUnchanged) {
-  // Same seeded run twice: once with the causal probe feeding the shared
-  // MessageIndex, once with ChannelLatencyProbe on its private copy. The
-  // channel metrics must not notice the difference.
-  auto metrics_text = [](bool with_causal) {
-    CausalTraceProbe probe;
-    MetricsRegistry reg;
-    ObsOptions obs;
-    obs.registry = &reg;
-    if (with_causal) obs.causal = &probe;
-    RwRunConfig cfg = rw_cfg(42);
-    cfg.obs = &obs;
-    run_rw_clock(cfg, PerfectDrift());
-    std::ostringstream os;
-    reg.write_jsonl(os);
-    return os.str();
-  };
-  const std::string shared = metrics_text(true);
-  const std::string private_idx = metrics_text(false);
-  EXPECT_FALSE(shared.empty());
-  EXPECT_EQ(shared, private_idx);
-}
-
-// --- MessageIndex unit ---------------------------------------------------
-
-TEST(MessageIndex, StageParsingAndFirstSendWins) {
-  EXPECT_EQ(MessageIndex::stage_of("SENDMSG"), MessageIndex::Stage::kSend);
-  EXPECT_EQ(MessageIndex::stage_of("ESENDMSG"), MessageIndex::Stage::kESend);
-  EXPECT_EQ(MessageIndex::stage_of("ERECVMSG"), MessageIndex::Stage::kERecv);
-  EXPECT_EQ(MessageIndex::stage_of("RECVMSG"), MessageIndex::Stage::kRecv);
-  EXPECT_EQ(MessageIndex::stage_of("DELIVER"), MessageIndex::Stage::kNone);
-
-  MessageIndex idx;
-  const Message m = make_message("PING");
-  TimedEvent send;
-  send.action = make_send(0, 1, m);
-  send.time = microseconds(5);
-  idx.observe(send, /*span=*/0);
-
-  // A later ESENDMSG on the same uid advances `last` but must not clobber
-  // the first send time (latency is measured from the original SENDMSG).
-  TimedEvent esend;
-  esend.action = make_send(0, 1, m, "ESENDMSG");
-  esend.time = microseconds(7);
-  idx.observe(esend, /*span=*/1);
-
-  TimedEvent recv;
-  recv.action = make_recv(1, 0, m);
-  recv.time = microseconds(9);
-  idx.observe(recv, /*span=*/3);
-
-  const MessageIndex::Record* rec = idx.find(m.uid);
-  ASSERT_NE(rec, nullptr);
-  EXPECT_EQ(rec->send_time, microseconds(5));
-  EXPECT_EQ(rec->send_span, 0u);
-  EXPECT_EQ(rec->last_time, microseconds(9));
-  EXPECT_EQ(rec->last_span, 3u);
-  EXPECT_EQ(rec->last_stage, MessageIndex::Stage::kRecv);
-  EXPECT_EQ(idx.size(), 1u);
-  EXPECT_EQ(idx.find(m.uid + 12345), nullptr);
 }
 
 }  // namespace

@@ -17,8 +17,9 @@
 // Keys (defaults in brackets): nodes[3] ops[20] d1_us[20] d2_us[300]
 // eps_us[50] c_us[40] ell_us[10] write_frac[0.5] drift[zigzag] seed[1]
 // super[1] trace[""]   (drift: perfect|offset+|offset-|zigzag|random|
-// opposing|disciplined). A flag the scenario does not read is a usage error
-// naming it (exit status 2).
+// opposing|disciplined); ell_us is read by rw-mmt only. A flag the scenario
+// does not read, or a modifier (--flight-ring, --prof-sample) without its
+// switch, is a usage error naming it (exit status 2).
 //
 // Observability (docs/OBSERVABILITY.md):
 //   --metrics-out=PATH   dump the run's metrics registry as JSONL
@@ -49,7 +50,8 @@
 //                        run end — or immediately, at the first PSC1xx
 //                        error, when --lint is also set (dump-on-violation).
 //                        Decode snapshots with psc-flight.
-//   --flight-ring=N      per-shard ring capacity in records [8192]
+//   --flight-ring=N      per-shard ring capacity in records, with --flight
+//                        [8192]
 //
 // Microprofiler (docs/OBSERVABILITY.md):
 //   --profile[=PATH]     sample the executor hot loop (per-phase cycle
@@ -58,11 +60,13 @@
 //                        (flamegraph.pl-compatible). With --chrome-trace the
 //                        per-phase totals stream as counter tracks; with
 //                        --metrics-out the exec.prof.* gauges join the dump.
-//   --prof-sample=N      profile every N-th scheduler iteration [64]
+//   --prof-sample=N      with --profile: sample every N-th scheduler
+//                        iteration [64]
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
-#include <initializer_list>
+#include <utility>
+#include <vector>
 #include <iostream>
 #include <iterator>
 #include <map>
@@ -115,18 +119,30 @@ constexpr std::string_view kCommonFlags[] = {
     "metrics-out", "chrome-trace", "causal-trace", "critical-path",
     "exec-stats", "flight", "flight-ring", "profile", "prof-sample"};
 
+// Modifier flags and the switch they modify: without the switch nothing
+// reads the modifier.
+constexpr std::pair<std::string_view, std::string_view> kModifierFlags[] = {
+    {"flight-ring", "flight"}, {"prof-sample", "profile"}};
+
 // Rejects any flag the scenario does not read, naming it (exit status 2):
-// a misspelt or stale flag would otherwise be dropped silently and the run
-// would use the default.
+// a misspelt or stale flag, or a modifier of a switch that is off, would
+// otherwise be dropped silently and the run would use the default.
 void reject_unknown_flags(const std::map<std::string, std::string>& args,
                           const std::string& scenario,
-                          std::initializer_list<std::string_view> own) {
+                          const std::vector<std::string_view>& own) {
   for (const auto& [key, value] : args) {
     if (std::find(std::begin(kCommonFlags), std::end(kCommonFlags), key) ==
             std::end(kCommonFlags) &&
         std::find(own.begin(), own.end(), key) == own.end()) {
       std::cerr << "psc-sim: unknown flag --" << key << " for scenario "
                 << scenario << "\n";
+      std::exit(2);
+    }
+  }
+  for (const auto& [modifier, needs] : kModifierFlags) {
+    if (args.count(std::string(modifier)) > 0 &&
+        args.count(std::string(needs)) == 0) {
+      std::cerr << "psc-sim: --" << modifier << " needs --" << needs << "\n";
       std::exit(2);
     }
   }
@@ -458,9 +474,11 @@ void maybe_dump(const std::string& path, const TimedTrace& events) {
 
 int run_register(const std::string& scenario,
                  const std::map<std::string, std::string>& args) {
-  reject_unknown_flags(args, scenario,
-                       {"ops", "eps_us", "c_us", "ell_us", "write_frac",
-                        "drift", "super"});
+  std::vector<std::string_view> own = {"ops",        "eps_us", "c_us",
+                                       "write_frac", "drift",  "super"};
+  // Only the MMT pipeline has a step bound.
+  if (scenario == "rw-mmt") own.push_back("ell_us");
+  reject_unknown_flags(args, scenario, own);
   RwRunConfig cfg;
   cfg.num_nodes = static_cast<int>(geti(args, "nodes", 3));
   cfg.ops_per_node = static_cast<int>(geti(args, "ops", 20));
@@ -636,7 +654,7 @@ void print_usage(std::ostream& os) {
         "[20/300]\n"
         "  --eps_us=N           clock synchronization bound [50]\n"
         "  --c_us=N             register lease parameter C [40]\n"
-        "  --ell_us=N           MMT step-time bound [10]\n"
+        "  --ell_us=N           MMT step-time bound (rw-mmt) [10]\n"
         "  --margin_us=N        flood termination margin [10]\n"
         "  --write_frac=F       write (enqueue) fraction [0.5]\n"
         "  --drift=NAME         perfect|offset+|offset-|zigzag|random|\n"
@@ -662,13 +680,14 @@ void print_usage(std::ostream& os) {
         "  --flight[=PATH]      always-on binary ring of recent events; .fly\n"
         "                       snapshot at run end or on first violation\n"
         "                       when --lint is set [psc-flight.fly]\n"
-        "  --flight-ring=N      per-shard ring capacity in records [8192]\n"
+        "  --flight-ring=N      with --flight: per-shard ring capacity in\n"
+        "                       records [8192]\n"
         "  --profile[=PATH]     per-phase executor self-time table at run\n"
         "                       end; PATH also gets flamegraph.pl-compatible\n"
         "                       folded stacks; with --chrome-trace adds\n"
         "                       per-phase counter tracks\n"
-        "  --prof-sample=N      profile every N-th scheduler iteration "
-        "[64]\n";
+        "  --prof-sample=N      with --profile: sample every N-th scheduler\n"
+        "                       iteration [64]\n";
 }
 
 }  // namespace
