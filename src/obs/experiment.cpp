@@ -259,9 +259,7 @@ CellResult run_cell(const SweepConfig& sweep, const std::string& algo,
   cell.read_p99 = reads.percentile(99);
   cell.write_p50 = writes.percentile(50);
   cell.write_p99 = writes.percentile(99);
-  if (flight.channel_hist().count() > 0) {
-    cell.chan_p99 = static_cast<double>(flight.channel_hist().p99());
-  }
+  cell.chan_p99 = flight.channel_hist().p99();  // NaN with no deliveries
 
   if (algo == "L") {
     // Lemma 6.1/6.2 (timed model): d2' = d2.

@@ -86,16 +86,9 @@ FlightSnapshot FlightRecorder::snapshot() const {
     snap.kinds.push_back(FlightSnapshot::Kind{k.name_id, k.node, k.peer, k.cls});
   }
   snap.records.reserve(static_cast<std::size_t>(retained()));
-  for (const Shard& s : shards_) {
-    const std::uint64_t n = std::min<std::uint64_t>(s.head, ring_cap_);
-    for (std::uint64_t i = s.head - n; i < s.head; ++i) {
-      snap.records.push_back(s.buf[i & ring_mask_]);
-    }
+  for (std::uint64_t i = seq_ - retained(); i < seq_; ++i) {
+    snap.records.push_back(ring_[i & ring_mask_]);
   }
-  std::sort(snap.records.begin(), snap.records.end(),
-            [](const FlightRecord& a, const FlightRecord& b) {
-              return a.seq < b.seq;
-            });
   return snap;
 }
 
@@ -109,12 +102,12 @@ bool FlightRecorder::dump(const std::string& path) const {
 void FlightRecorder::export_metrics(MetricsRegistry& reg) const {
   reg.gauge("flight.recorded").set(static_cast<double>(total_recorded()));
   reg.gauge("flight.dropped").set(static_cast<double>(dropped()));
-  const auto put = [&reg](const std::string& prefix, const LogHistogram& h) {
+  const auto put = [&reg](const std::string& prefix, const Histogram& h) {
     if (h.count() == 0) return;
     reg.gauge(prefix + ".count").set(static_cast<double>(h.count()));
-    reg.gauge(prefix + ".p50_ns").set(static_cast<double>(h.p50()));
-    reg.gauge(prefix + ".p99_ns").set(static_cast<double>(h.p99()));
-    reg.gauge(prefix + ".p999_ns").set(static_cast<double>(h.p999()));
+    reg.gauge(prefix + ".p50_ns").set(h.p50());
+    reg.gauge(prefix + ".p99_ns").set(h.p99());
+    reg.gauge(prefix + ".p999_ns").set(h.p999());
     reg.gauge(prefix + ".max_ns").set(static_cast<double>(h.max()));
   };
   put("flight.channel", chan_);

@@ -7,14 +7,13 @@
 // violation would be most interesting. The flight recorder is the cheap
 // substitute that can stay on: the executor writes one fixed-size 128-byte
 // POD per event (interned kind id, owner, uid, times, value slots — no
-// strings, no allocation) into per-machine-shard ring buffers, so the
-// last-N-events window is always available for a crash-style dump, and
-// HDR-style log-bucketed latency histograms (channel delivery, Simulation-1
-// buffer hold, per-action-name step latency) are fed online from the same
-// PODs. bench_executor gates the whole record path under 25% of scheduler
-// ns/event at >= 65,536 machines — roughly 4x cheaper than the
-// record_events TimedEvent stream it replaces (docs/OBSERVABILITY.md,
-// "Cost").
+// strings, no allocation) into one ring buffer, so the last-N-events window
+// is always available for a crash-style dump, and log-linear latency
+// histograms (channel delivery, Simulation-1 buffer hold, per-action-name
+// step latency) are fed online from the same PODs. bench_executor gates the
+// whole record path under 25% of scheduler ns/event at >= 65,536 machines —
+// roughly 4x cheaper than the record_events TimedEvent stream it replaces
+// (docs/OBSERVABILITY.md, "Cost").
 //
 // Layering: psc_runtime cannot link psc_obs, so everything the executor
 // calls per event (record(), bind()) is defined inline in this header —
@@ -39,7 +38,6 @@
 #include <cstdint>
 #include <cstring>
 #include <iosfwd>
-#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -49,84 +47,9 @@
 
 #include "analysis/ledger.hpp"  // EventClass, classify_name
 #include "core/trace.hpp"
-#include "obs/metrics.hpp"  // percentile_cut — shared percentile walk
+#include "obs/metrics.hpp"  // Histogram
 
 namespace psc {
-
-// --- log-bucketed histogram ------------------------------------------------
-
-// HDR-style histogram over nonnegative int64 samples (nanoseconds here):
-// values below 2^kSubBits are exact, above that each power-of-two octave is
-// split into 2^kSubBits sub-buckets, so relative error is bounded by
-// 2^-kSubBits (~3%) at every magnitude. Indexing is a bit_width plus a
-// shift — no search — and memory is a fixed ~15 KB regardless of sample
-// count, which is what lets the recorder feed three of these per event
-// inside the bench overhead gate. (MetricsRegistry::Histogram needs its
-// bucket range chosen at registration; latencies here span 9 decades.)
-class LogHistogram {
- public:
-  static constexpr int kSubBits = 5;
-  static constexpr std::uint64_t kSub = std::uint64_t{1} << kSubBits;  // 32
-  // Highest sample bit position is 62 (int64 max), giving linear indices
-  // [0, 32) plus (62 - kSubBits + 1) part-filled octaves of 32.
-  static constexpr std::size_t kBuckets = (63 - kSubBits) * kSub;
-
-  LogHistogram() : buckets_(kBuckets, 0) {}
-
-  static std::size_t index(std::uint64_t x) {
-    if (x < kSub) return static_cast<std::size_t>(x);
-    const int e = 63 - std::countl_zero(x);  // bit position of the msb
-    return (static_cast<std::size_t>(e) - kSubBits) * kSub +
-           static_cast<std::size_t>(x >> (e - kSubBits));
-  }
-  // Largest value landing in bucket i (its inclusive upper edge).
-  static std::uint64_t bucket_max(std::size_t i) {
-    if (i < kSub) return i;
-    const std::size_t octave = i / kSub;  // >= 1
-    const std::uint64_t top = kSub + i % kSub;
-    return ((top + 1) << (octave - 1)) - 1;
-  }
-
-  void add(std::int64_t v) {
-    const std::uint64_t x = v > 0 ? static_cast<std::uint64_t>(v) : 0;
-    ++buckets_[index(x)];
-    ++n_;
-    sum_ += static_cast<double>(x);
-    if (x < min_) min_ = x;
-    if (x > max_) max_ = x;
-  }
-
-  std::uint64_t count() const { return n_; }
-  double sum() const { return sum_; }
-  double mean() const { return n_ ? sum_ / static_cast<double>(n_) : 0.0; }
-  std::uint64_t min() const { return n_ ? min_ : 0; }
-  std::uint64_t max() const { return n_ ? max_ : 0; }
-
-  // p in [0, 100]: the upper edge of the bucket holding the p-th percentile
-  // sample, clamped to the observed max — so the estimate is exact to one
-  // sub-bucket (<= 2^-kSubBits relative error) and never exceeds a value
-  // actually recorded. 0 when empty. The bucket walk is the shared
-  // percentile_cut helper (obs/metrics.hpp); only the bucket -> value
-  // mapping (log-bucket upper edge, no interpolation) is HDR-specific.
-  std::uint64_t percentile(double p) const {
-    if (n_ == 0) return 0;
-    const PercentileCut cut = percentile_cut(buckets_.data(), kBuckets, n_, p);
-    if (!cut.valid) return max_;
-    return std::min(bucket_max(cut.bucket), max_);
-  }
-  std::uint64_t p50() const { return percentile(50); }
-  std::uint64_t p99() const { return percentile(99); }
-  std::uint64_t p999() const { return percentile(99.9); }
-
-  const std::vector<std::uint64_t>& buckets() const { return buckets_; }
-
- private:
-  std::vector<std::uint64_t> buckets_;
-  std::uint64_t n_ = 0;
-  double sum_ = 0;
-  std::uint64_t min_ = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t max_ = 0;
-};
 
 // --- the recorded POD ------------------------------------------------------
 
@@ -147,7 +70,7 @@ struct alignas(16) FlightRecord {
   static constexpr std::uint8_t kDouble = 2;  // slot holds a bit-cast double
   static constexpr std::uint8_t kString = 3;  // slot holds a string-table id
 
-  std::uint64_t seq;    // global record order: the shard-merge key
+  std::uint64_t seq;    // record order: total records written before it
   std::int64_t time;    // TimedEvent::time
   std::int64_t clock;   // TimedEvent::clock (kNoClockTag when unclocked)
   std::uint64_t uid;    // message uid (0 without kHasMsg)
@@ -270,26 +193,18 @@ class UidTimeMap {
 // --- snapshot --------------------------------------------------------------
 
 struct FlightOptions {
-  // Records retained per shard (rounded up to a power of two). The default
-  // 8 Ki-record ring is 1 MB/shard: small enough to stay resident in the
-  // last-level cache, so the steady-state ring walk costs cache writes
-  // instead of DRAM streaming (measured ~2x recorder overhead for an 8 MB
-  // ring on the sweep cell). Deeper forensic windows are a knob away
+  // Records retained (rounded up to a power of two). The default 8 Ki-record
+  // ring is 1 MB: small enough to stay resident in the last-level cache, so
+  // the steady-state ring walk costs cache writes instead of DRAM streaming
+  // (measured ~2x recorder overhead for an 8 MB ring on the sweep cell). Deeper forensic windows are a knob away
   // (psc-sim --flight-ring=N); the dump-on-violation window rarely needs
   // more than a few thousand events of look-behind.
   std::size_t ring_capacity = std::size_t{1} << 13;
-  // Ring shards, selected by owner machine index (rounded up to a power of
-  // two). Sharding keeps a chatty region from evicting the whole window;
-  // one shard preserves strict global order per ring.
-  std::size_t shards = 1;
-  // Feed the latency histograms online from the record path. On by default
-  // — the bench overhead gate measures this configuration.
-  bool histograms = true;
 };
 
 // The decoded-side view of a recorder window: intern tables plus the
-// retained records merged across shards in seq order. This is exactly what
-// the "PSCFLT01" file carries.
+// retained records in seq order. This is exactly what the "PSCFLT01" file
+// carries.
 struct FlightSnapshot {
   struct Kind {
     std::uint32_t name_id = 0;  // index into strings
@@ -300,7 +215,7 @@ struct FlightSnapshot {
 
   std::uint32_t version = 1;
   std::uint64_t total_recorded = 0;  // records ever written
-  std::uint64_t dropped = 0;         // evicted by the rings before snapshot
+  std::uint64_t dropped = 0;         // evicted by the ring before snapshot
   std::vector<std::string> strings;  // id 0 reserved empty
   std::vector<Kind> kinds;
   std::vector<FlightRecord> records;  // seq-ascending
@@ -326,12 +241,9 @@ TimedTrace decode_snapshot(const FlightSnapshot& snap);
 
 class FlightRecorder {
  public:
-  explicit FlightRecorder(FlightOptions opts = {}) : opts_(opts) {
-    ring_cap_ = std::bit_ceil(std::max<std::size_t>(opts.ring_capacity, 2));
-    shards_.resize(std::bit_ceil(std::max<std::size_t>(opts.shards, 1)));
-    shard_mask_ = static_cast<std::uint32_t>(shards_.size() - 1);
-    ring_mask_ = ring_cap_ - 1;
-    for (Shard& s : shards_) s.buf.resize(ring_cap_);
+  explicit FlightRecorder(FlightOptions opts = {})
+      : ring_(std::bit_ceil(std::max<std::size_t>(opts.ring_capacity, 2))),
+        ring_mask_(ring_.size() - 1) {
     strings_.emplace_back();  // id 0: reserved (means "absent")
   }
 
@@ -348,9 +260,9 @@ class FlightRecorder {
     std::fill(exec_memo_.begin(), exec_memo_.end(), ExecMemo{});
   }
 
-  // The hot path: one POD into the owner's shard ring plus the online
-  // latency histograms. No strings are hashed and nothing allocates once
-  // the run's kinds have been seen (first occurrence of a kind, a message
+  // The hot path: one POD into the ring plus the online latency
+  // histograms. No strings are hashed and nothing allocates once the run's
+  // kinds have been seen (first occurrence of a kind, a message
   // kind, or a string payload takes the interning slow path). Everything
   // the per-event fill needs — flight kind id, class, the message-kind
   // memo, the step-histogram id — lives in one 12-byte ExecMemo row, so an
@@ -382,22 +294,19 @@ class FlightRecorder {
 
   std::uint64_t total_recorded() const { return seq_; }
   std::uint64_t retained() const {
-    std::uint64_t n = 0;
-    for (const Shard& s : shards_) n += std::min<std::uint64_t>(s.head, ring_cap_);
-    return n;
+    return std::min<std::uint64_t>(seq_, ring_.size());
   }
   std::uint64_t dropped() const { return seq_ - retained(); }
-  std::size_t ring_capacity() const { return ring_cap_; }
-  std::size_t shard_count() const { return shards_.size(); }
+  std::size_t ring_capacity() const { return ring_.size(); }
 
   // SENDMSG->RECVMSG (timed model) / ESENDMSG->ERECVMSG (Simulation 1)
   // channel latency.
-  const LogHistogram& channel_hist() const { return chan_; }
+  const Histogram& channel_hist() const { return chan_; }
   // ERECVMSG->RECVMSG Simulation-1 receive-buffer hold.
-  const LogHistogram& hold_hist() const { return hold_; }
+  const Histogram& hold_hist() const { return hold_; }
   // Gap to the owner's previous event, bucketed by the name of the later
   // event; nullptr until an event with that name is recorded.
-  const LogHistogram* step_hist(std::string_view name) const {
+  const Histogram* step_hist(std::string_view name) const {
     const auto it = string_ids_.find(std::string(name));
     if (it == string_ids_.end()) return nullptr;
     const auto sit = step_by_name_.find(it->second);
@@ -416,7 +325,7 @@ class FlightRecorder {
 
   // --- cold half (flight.cpp) ---------------------------------------------
 
-  // The retained window, shards merged in seq order, with the intern tables.
+  // The retained window in seq order, with the intern tables.
   FlightSnapshot snapshot() const;
   // snapshot() serialized to `path`; false (with no partial file kept
   // guarantee) when the file cannot be written.
@@ -452,19 +361,12 @@ class FlightRecorder {
     std::uint16_t step_id = 0;     // shared per action name
   };
 
-  struct Shard {
-    std::vector<FlightRecord> buf;
-    std::uint64_t head = 0;  // total records ever written to this shard
-  };
-
   // Assemble one record in its ring slot and feed the histograms. cls /
   // mkind_memo / step_id come from the caller's kind row (ExecMemo or
   // KindEntry).
   void fill(const TimedEvent& e, std::uint32_t fk, std::uint8_t cls,
             std::uint32_t* mkind_memo, std::uint16_t step_id) {
-    Shard& sh = shards_[static_cast<std::uint32_t>(e.owner) & shard_mask_];
-    FlightRecord& r = sh.buf[sh.head & ring_mask_];
-    ++sh.head;
+    FlightRecord& r = ring_[seq_ & ring_mask_];
     // Value slots past nargs/nfields keep whatever bytes the evicted record
     // left; their tags are zeroed below (one 8-byte store covers both tag
     // arrays), and decoders must only trust tagged slots.
@@ -508,7 +410,7 @@ class FlightRecorder {
       r.nfields = 0;
     }
     r.flags = flags;
-    if (opts_.histograms) observe_latencies(e, cls, step_id, r);
+    observe_latencies(e, cls, step_id, r);
   }
 
   // Interning slow paths. Inline like the rest of the record path: the
@@ -588,7 +490,7 @@ class FlightRecorder {
     const auto [it, fresh] = step_by_name_.try_emplace(r.id, std::uint16_t{0});
     if (fresh) {
       it->second = static_cast<std::uint16_t>(steps_.size());
-      steps_.push_back(std::make_unique<LogHistogram>());
+      steps_.push_back(std::make_unique<Histogram>());
     }
     r.step_id = it->second;
     if (r.id != 0) c = r;
@@ -639,7 +541,11 @@ class FlightRecorder {
       if (o >= last_time_.size()) last_time_.resize(o + 1, Time{-1});
       const Time last = last_time_[o];
       last_time_[o] = e.time;
-      if (last >= 0) steps_[step_id]->add(e.time - last);
+      // Time restarts when the recorder moves to the next executor; the
+      // owner's gap across that seam counts as 0.
+      if (last >= 0) {
+        steps_[step_id]->add(std::max<Duration>(e.time - last, 0));
+      }
     }
     if ((r.flags & FlightRecord::kHasMsg) == 0) return;
     Time t;
@@ -664,12 +570,9 @@ class FlightRecorder {
     }
   }
 
-  FlightOptions opts_;
-  std::size_t ring_cap_ = 0;
-  std::uint64_t ring_mask_ = 0;
-  std::uint32_t shard_mask_ = 0;
-  std::vector<Shard> shards_;
-  std::uint64_t seq_ = 0;
+  std::vector<FlightRecord> ring_;
+  std::uint64_t ring_mask_;
+  std::uint64_t seq_ = 0;  // records ever written; the next record's slot
 
   // Kind/string intern tables. exec_memo_ maps the bound executor's
   // ActionKindId to a recorder kind id for O(1) hot lookups; kind_ids_ is
@@ -684,9 +587,9 @@ class FlightRecorder {
   std::array<NameRef, 16> name_cache_{};
 
   // Online latency state.
-  LogHistogram chan_;
-  LogHistogram hold_;
-  std::vector<std::unique_ptr<LogHistogram>> steps_;  // step_id -> histogram
+  Histogram chan_;
+  Histogram hold_;
+  std::vector<std::unique_ptr<Histogram>> steps_;  // step_id -> histogram
   std::unordered_map<std::uint32_t, std::uint16_t>
       step_by_name_;                // name string id -> step_id
   std::vector<Time> last_time_;     // owner -> previous event time (-1 none)

@@ -21,78 +21,24 @@ void Gauge::set(double v) {
   ++n_;
 }
 
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1, 0) {
-  PSC_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()) &&
-                std::adjacent_find(bounds_.begin(), bounds_.end()) ==
-                    bounds_.end(),
-            "histogram bounds must be strictly increasing");
-  // Recognize the zero-centered doubling ladder slack_bounds() builds
-  // (-lo*2^(m-1) ... -lo, 0, lo ... lo*2^(m-1)): its bucket index is a
-  // function of the sample's binary exponent, which add() computes in a
-  // handful of arithmetic ops instead of a binary search whose serially
-  // dependent loads dominate the probe hot path. Doubling is exact in
-  // floating point, so the equality tests below are not brittle.
-  const std::size_t n = bounds_.size();
-  if (n >= 3 && n % 2 == 1) {
-    const std::size_t m = n / 2;
-    const double lo = bounds_[m + 1];
-    bool ok = bounds_[m] == 0.0 && lo > 0.0 && std::isfinite(bounds_[n - 1]);
-    double expect = lo;
-    for (std::size_t k = 0; ok && k < m; ++k) {
-      ok = bounds_[m + 1 + k] == expect && bounds_[m - 1 - k] == -expect;
-      expect *= 2.0;
-    }
-    if (ok) {
-      pow2_mid_ = m;
-      pow2_inv_lo_ = 1.0 / lo;
-    }
-  }
-}
-
-std::vector<double> Histogram::linear_bounds(double lo, double hi,
-                                             std::size_t n) {
-  PSC_CHECK(n >= 1 && hi > lo, "bad linear bounds lo=" << lo << " hi=" << hi);
-  std::vector<double> out;
-  out.reserve(n + 1);
-  for (std::size_t k = 0; k <= n; ++k) {
-    out.push_back(lo + (hi - lo) * static_cast<double>(k) /
-                           static_cast<double>(n));
-  }
-  return out;
-}
-
-std::vector<double> Histogram::exponential_bounds(double lo, double factor,
-                                                  std::size_t n) {
-  PSC_CHECK(n >= 1 && lo > 0 && factor > 1,
-            "bad exponential bounds lo=" << lo << " factor=" << factor);
-  std::vector<double> out;
-  out.reserve(n);
-  double b = lo;
-  for (std::size_t k = 0; k < n; ++k) {
-    out.push_back(b);
-    b *= factor;
-  }
-  return out;
-}
-
 double Histogram::percentile(double p) const {
   // NaN on empty data, matching Samples::percentile: a zero-sample series
   // still renders (write_jsonl maps non-finite values to 0).
   if (n_ == 0) return std::numeric_limits<double>::quiet_NaN();
-  const PercentileCut cut =
-      percentile_cut(buckets_.data(), buckets_.size(), n_, p);
-  if (!cut.valid) return max_;
-  // Interpolate inside the selected bucket: [lower, upper].
-  const std::size_t b = cut.bucket;
-  const double lower = b == 0 ? min_ : bounds_[b - 1];
-  const double upper = b < bounds_.size() ? bounds_[b] : max_;
   const double target =
       std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(n_);
-  const double frac = (target - static_cast<double>(cut.below)) /
-                      static_cast<double>(buckets_[b]);
-  const double v = lower + (upper - lower) * std::clamp(frac, 0.0, 1.0);
-  return std::clamp(v, min_, max_);
+  // Only [index(min), index(max)] can be occupied. Every edge in it is
+  // >= min, so clamping to max keeps the estimate inside [min, max].
+  const std::size_t last = index(max_);
+  std::uint64_t seen = 0;
+  for (std::size_t i = index(min_); i <= last; ++i) {
+    if (buckets_[i] == 0) continue;
+    seen += buckets_[i];
+    if (static_cast<double>(seen) >= target) {
+      return static_cast<double>(std::min(bucket_max(i), max_));
+    }
+  }
+  return static_cast<double>(max_);  // p rounded past the last sample
 }
 
 MetricId MetricsRegistry::intern(std::string_view name) {
@@ -136,13 +82,12 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
   return *s.g;
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      std::vector<double> bounds) {
+Histogram& MetricsRegistry::histogram(std::string_view name) {
   const MetricId id = intern(name);
   Slot& s = *slots_[id];
   if (!s.c && !s.g && !s.h) {
     s.kind = Kind::kHistogram;
-    s.h = std::make_unique<Histogram>(std::move(bounds));
+    s.h = std::make_unique<Histogram>();
   }
   PSC_CHECK(s.kind == Kind::kHistogram && s.h,
             "metric '" << s.name << "' already registered with another kind");
@@ -241,17 +186,21 @@ void MetricsRegistry::write_jsonl(std::ostream& os) const {
         put_number(os, h.p50());
         os << ",\"p99\":";
         put_number(os, h.p99());
-        os << ",\"bounds\":[";
-        for (std::size_t k = 0; k < h.bounds().size(); ++k) {
-          if (k) os << ",";
-          put_number(os, h.bounds()[k]);
+        // Nonempty buckets only, as (inclusive upper edge, count) pairs.
+        std::string bounds, counts;
+        const std::size_t last = Histogram::index(h.max());
+        for (std::size_t i = Histogram::index(h.min()); i <= last; ++i) {
+          const std::uint64_t c = h.buckets()[i];
+          if (c == 0) continue;
+          if (!counts.empty()) {
+            bounds += ',';
+            counts += ',';
+          }
+          bounds += std::to_string(Histogram::bucket_max(i));
+          counts += std::to_string(c);
         }
-        os << "],\"buckets\":[";
-        for (std::size_t k = 0; k < h.buckets().size(); ++k) {
-          if (k) os << ",";
-          os << h.buckets()[k];
-        }
-        os << "]";
+        os << ",\"bounds\":[" << bounds << "],\"buckets\":[" << counts
+           << "]";
         break;
       }
     }

@@ -1,4 +1,4 @@
-// MetricsRegistry: counters, gauges, and fixed-bucket histograms keyed by
+// MetricsRegistry: counters, gauges, and log-linear histograms keyed by
 // interned names.
 //
 // The registry is the sink the built-in probes (probes.hpp) write into and
@@ -11,13 +11,12 @@
 //     the same object, so several runs can aggregate into one registry;
 //     requesting an existing name as a different kind is a CheckError).
 //
-// Histograms use fixed bucket bounds chosen at registration (linear or
-// exponential helpers provided): per-sample cost is a branchless-ish
-// upper_bound over a small vector, memory is O(buckets) regardless of
-// sample count, and percentile estimates are bucket-interpolated.
+// Histograms need no bucket bounds: one log-linear layout covers every
+// int64 nanosecond quantity in the tree (delivery windows, the C_eps
+// envelope, Theorem 4.7's widened window, signed bound slack) at a bounded
+// relative error, with an O(1) shift-and-count per sample.
 #pragma once
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <iosfwd>
@@ -31,42 +30,6 @@
 namespace psc {
 
 using MetricId = std::uint32_t;
-
-// Shared percentile bucket walk: locates the bucket holding the p-th
-// percentile sample of `total` samples spread over `buckets[0..n)`, and how
-// many samples precede that bucket (for interpolation). Every histogram in
-// the tree (obs::Histogram's fixed bounds, the flight recorder's HDR-style
-// LogHistogram) does this same walk; what differs is only how a bucket
-// index maps back to a value, which stays with the caller. `valid` is false
-// when total == 0 (no samples) or the walk fell off the end (floating-point
-// edge when p rounds past the last sample) — callers then fall back to
-// their observed max.
-struct PercentileCut {
-  std::size_t bucket = 0;
-  std::uint64_t below = 0;
-  bool valid = false;
-};
-
-inline PercentileCut percentile_cut(const std::uint64_t* buckets,
-                                    std::size_t n, std::uint64_t total,
-                                    double p) {
-  PercentileCut cut;
-  if (total == 0) return cut;
-  p = std::clamp(p, 0.0, 100.0);
-  const double target = p / 100.0 * static_cast<double>(total);
-  std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < n; ++b) {
-    if (buckets[b] == 0) continue;
-    cut.below = seen;
-    seen += buckets[b];
-    if (static_cast<double>(seen) >= target) {
-      cut.bucket = b;
-      cut.valid = true;
-      return cut;
-    }
-  }
-  return cut;  // valid == false: caller clamps to its max
-}
 
 class Counter {
  public:
@@ -92,110 +55,86 @@ class Gauge {
   double last_ = 0, min_ = 0, max_ = 0, sum_ = 0;
 };
 
+// HDR-style histogram over signed int64 samples (nanoseconds here).
+// Magnitudes below 2^kSubBits are exact; above that each power-of-two
+// octave is split into 2^kSubBits sub-buckets, so a bucket is never wider
+// than 2^-kSubBits (~3%) of the values in it, at every magnitude up to
+// INT64_MAX. Negative samples (bound-slack violations) land in a mirrored
+// bank. Indexing is a bit_width plus a shift — no search — and memory is a
+// fixed ~30 KB regardless of sample count.
 class Histogram {
  public:
-  // `bounds` are strictly increasing bucket upper bounds; an implicit
-  // overflow bucket (+inf) is appended, so buckets().size() ==
-  // bounds.size() + 1. Sample x lands in the first bucket with x <= bound.
-  explicit Histogram(std::vector<double> bounds);
+  static constexpr int kSubBits = 5;
+  static constexpr std::uint64_t kSub = std::uint64_t{1} << kSubBits;  // 32
+  // Buckets per sign: kSub exact values [0, 32), then one octave of kSub
+  // for each msb position kSubBits..62.
+  static constexpr std::size_t kBank = (64 - kSubBits) * kSub;
+  static constexpr std::size_t kBuckets = 2 * kBank;
 
-  // n+1 bounds evenly spaced over [lo, hi].
-  static std::vector<double> linear_bounds(double lo, double hi,
-                                           std::size_t n);
-  // lo, lo*factor, lo*factor^2, ... (n bounds, factor > 1).
-  static std::vector<double> exponential_bounds(double lo, double factor,
-                                                std::size_t n);
+  Histogram() : buckets_(kBuckets, 0) {}
 
-  // Inline: runs once per observed sample on probe hot paths (the
-  // bench_executor overhead gates hold attached probes under 5% of
-  // scheduler ns/event). Zero-centered doubling ladders (slack_bounds())
-  // are indexed arithmetically from the sample's binary exponent; anything
-  // else falls back to binary search, whose serially dependent loads cost
-  // ~4x more per sample.
-  void add(double x) {
-    const std::size_t i =
-        pow2_mid_ != 0 ? pow2_index(x) : search_index(x);
-    ++buckets_[i];
-    ++n_;
-    sum_ += x;
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
+  // Bucket of v; nondecreasing in v. The positive bank is [kBank,
+  // kBuckets); the negative bank [0, kBank) mirrors it through ~v = -v - 1,
+  // which maps INT64_MIN to INT64_MAX without a negation that overflows.
+  static std::size_t index(std::int64_t v) {
+    const auto x = static_cast<std::uint64_t>(v);
+    return v >= 0 ? kBank + bank_index(x) : kBank - 1 - bank_index(~x);
   }
+  // Largest value landing in bucket i (its inclusive upper edge).
+  static std::int64_t bucket_max(std::size_t i) {
+    if (i >= kBank) {
+      return static_cast<std::int64_t>(bank_min(i - kBank + 1) - 1);
+    }
+    return ~static_cast<std::int64_t>(bank_min(kBank - 1 - i));
+  }
+
+  // Inline: runs once per observed sample on the probe and flight-recorder
+  // hot paths.
+  void add(std::int64_t v) {
+    ++buckets_[index(v)];
+    ++n_;
+    sum_ += static_cast<double>(v);
+    if (v < min_) min_ = v;
+    if (v > max_) max_ = v;
+  }
+
   std::uint64_t count() const { return n_; }
   double sum() const { return sum_; }
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
   double mean() const { return n_ ? sum_ / static_cast<double>(n_) : 0.0; }
-  const std::vector<double>& bounds() const { return bounds_; }
+  std::int64_t min() const { return n_ ? min_ : 0; }
+  std::int64_t max() const { return n_ ? max_ : 0; }
   const std::vector<std::uint64_t>& buckets() const { return buckets_; }
-  // p in [0, 100]; linear interpolation inside the selected bucket,
-  // clamped to the observed [min, max]. An estimate, exact at bucket edges.
-  // NaN when the histogram holds no samples.
+
+  // p in [0, 100]: the upper edge of the bucket holding the p-th percentile
+  // sample, clamped to the observed max — exact to one sub-bucket and never
+  // outside [min, max]. NaN when the histogram holds no samples.
   double percentile(double p) const;
-  // The quantiles every consumer actually reads (psc-report, observatory,
-  // the JSONL exporter) — use these instead of re-walking buckets()/sum().
+  // The quantiles consumers read (psc-report, observatory, the JSONL
+  // exporter, the flight gauges).
   double p50() const { return percentile(50); }
-  double p90() const { return percentile(90); }
   double p99() const { return percentile(99); }
+  double p999() const { return percentile(99.9); }
 
  private:
-  // Index of the first bound >= x (== bounds_.size() past the last bound,
-  // i.e. the overflow bucket). The generic path; ~19ns/sample on a
-  // 49-bound ladder because each probe's load depends on the previous
-  // comparison.
-  std::size_t search_index(double x) const {
-    const auto it = std::upper_bound(bounds_.begin(), bounds_.end(), x,
-                                     [](double v, double b) { return v <= b; });
-    return static_cast<std::size_t>(it - bounds_.begin());
+  // Index of magnitude x within one bank.
+  static std::size_t bank_index(std::uint64_t x) {
+    if (x < kSub) return static_cast<std::size_t>(x);
+    const int e = std::bit_width(x) - 1;  // bit position of the msb
+    return static_cast<std::size_t>(e - kSubBits) * kSub +
+           static_cast<std::size_t>(x >> (e - kSubBits));
+  }
+  // Smallest magnitude landing in bank bucket m (m == kBank gives 2^63,
+  // one past the last bucket).
+  static std::uint64_t bank_min(std::size_t m) {
+    if (m < kSub) return m;
+    return (kSub + m % kSub) << (m / kSub - 1);
   }
 
-  // Same result for a zero-centered doubling ladder
-  // (-lo*2^(m-1) .. -lo, 0, lo .. lo*2^(m-1)), detected at construction:
-  // bounds_[pow2_mid_] == 0 and positive bounds double from lo. The raw
-  // exponent of |x|/lo lands within one step of the exact rung (1/lo and
-  // the product both round), so two predictable nudges against the stored
-  // bounds make it exact.
-  std::size_t pow2_index(double x) const {
-    const double y = x < 0 ? -x : x;
-    const double lo = bounds_[pow2_mid_ + 1];
-    if (y <= lo) {
-      // |x| inside the innermost rung: 0 maps to the zero bound, (0, lo]
-      // to the first positive bound, [-lo, 0) to -lo only when exact.
-      if (x == 0.0) return pow2_mid_;
-      if (x > 0.0) return pow2_mid_ + 1;
-      return pow2_mid_ - (y == lo ? 1 : 0);
-    }
-    if (y != y) return bounds_.size();  // NaN: overflow, as search_index
-    const int top = static_cast<int>(pow2_mid_) - 1;
-    int e = static_cast<int>((std::bit_cast<std::uint64_t>(y * pow2_inv_lo_)
-                              >> 52) & 0x7ff) - 1023;
-    if (e < 0) e = 0;
-    if (e > top) e = top;
-    const double* pos = bounds_.data() + pow2_mid_ + 1;
-    if (e > 0 && pos[e] > y) --e;
-    if (e < top && pos[e + 1] <= y) ++e;
-    // e is now the exact floor of log2(y/lo), clamped to [0, top].
-    if (x > 0) {
-      // First rung >= y is e, or e+1 when y overshoots it; e+1 past the
-      // top rung is bounds_.size(), the overflow bucket.
-      return pow2_mid_ + 1 + static_cast<std::size_t>(e) +
-             (pos[e] < y ? 1u : 0u);
-    }
-    // Negative side mirrors: x <= -lo*2^k first holds at the largest
-    // k <= floor(log2(y/lo)), stored at index pow2_mid_ - 1 - e.
-    return pow2_mid_ - 1 - static_cast<std::size_t>(e);
-  }
-
-  std::vector<double> bounds_;
   std::vector<std::uint64_t> buckets_;
   std::uint64_t n_ = 0;
   double sum_ = 0;
-  double min_ = std::numeric_limits<double>::max();
-  double max_ = std::numeric_limits<double>::lowest();
-  // pow2_index parameters; pow2_mid_ == 0 means "no fast path" (a ladder
-  // always has at least one negative bound, so its mid is >= 1).
-  std::size_t pow2_mid_ = 0;
-  double pow2_inv_lo_ = 0;
+  std::int64_t min_ = std::numeric_limits<std::int64_t>::max();
+  std::int64_t max_ = std::numeric_limits<std::int64_t>::min();
 };
 
 class MetricsRegistry {
@@ -207,8 +146,7 @@ class MetricsRegistry {
   // Get-or-create. References stay valid for the registry's lifetime.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  // `bounds` are used only on first registration of `name`.
-  Histogram& histogram(std::string_view name, std::vector<double> bounds);
+  Histogram& histogram(std::string_view name);
 
   // Interning: every registered name has a dense id (registration order).
   MetricId intern(std::string_view name);
@@ -222,8 +160,9 @@ class MetricsRegistry {
 
   // One self-contained JSON object per line, e.g.
   //   {"type":"counter","name":"channel.sent","value":42}
-  // Histograms carry bounds/buckets plus summary stats, so a dump is
-  // enough to rebuild the distribution.
+  // Histograms carry summary stats plus their nonempty buckets: `bounds`
+  // holds each one's inclusive upper edge and `buckets` its count, so a
+  // dump is enough to rebuild the distribution.
   void write_jsonl(std::ostream& os) const;
 
  private:

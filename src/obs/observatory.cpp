@@ -5,7 +5,6 @@
 #include <ostream>
 
 #include "core/machine.hpp"
-#include "obs/probes.hpp"
 #include "util/check.hpp"
 
 namespace psc {
@@ -107,33 +106,23 @@ void TimeSeriesProbe::on_run_end(Time now) { ts_.sample(now); }
 
 // --- BoundSlackProbe --------------------------------------------------------
 
-std::vector<double> slack_bounds() {
-  const std::vector<double> pos = duration_bounds();
-  std::vector<double> out;
-  out.reserve(2 * pos.size() + 1);
-  for (auto it = pos.rbegin(); it != pos.rend(); ++it) out.push_back(-*it);
-  out.push_back(0.0);
-  out.insert(out.end(), pos.begin(), pos.end());
-  return out;
-}
-
 BoundSlackProbe::BoundSlackProbe(MetricsRegistry& reg, SlackOptions opts)
     : reg_(reg), opts_(opts) {
   if (opts_.eps >= 0) {
     ceps_ = ceps_window(opts_.eps, opts_.ell);
-    ceps_hist_ = &reg_.histogram("slack.ceps_ns", slack_bounds());
+    ceps_hist_ = &reg_.histogram("slack.ceps_ns");
   }
   if (opts_.d2 >= 0) {
     delivery_ = delivery_window(opts_.d1, opts_.d2);
-    delivery_hist_ = &reg_.histogram("slack.delivery_ns", slack_bounds());
+    delivery_hist_ = &reg_.histogram("slack.delivery_ns");
     if (opts_.eps >= 0) {
       thm47_ = thm47_window(opts_.d1, opts_.d2, opts_.eps);
-      thm47_hist_ = &reg_.histogram("slack.thm47_ns", slack_bounds());
+      thm47_hist_ = &reg_.histogram("slack.thm47_ns");
     }
   }
   if (opts_.ell >= 0) {
     mmt_ = mmt_window(opts_.ell);
-    mmt_hist_ = &reg_.histogram("slack.mmt_ns", slack_bounds());
+    mmt_hist_ = &reg_.histogram("slack.mmt_ns");
   }
   violations_ = &reg_.counter("slack.violations");
 }
@@ -145,7 +134,7 @@ Duration BoundSlackProbe::min_slack() const {
 
 void BoundSlackProbe::feed(Histogram* hist, Duration* min_seen,
                            Duration slack) {
-  hist->add(static_cast<double>(slack));
+  hist->add(slack);
   if (slack < *min_seen) *min_seen = slack;
   if (slack < 0) violations_->add();
 }

@@ -188,9 +188,4 @@ class BoundSlackProbe final : public Probe {
   std::unordered_map<const Machine*, Gauge*> channel_gauges_;
 };
 
-// Symmetric histogram bounds for signed slack values: duration_bounds()
-// (probes.hpp) mirrored through zero, so violations (negative slack) and
-// margins resolve at the same granularity.
-std::vector<double> slack_bounds();
-
 }  // namespace psc

@@ -13,10 +13,6 @@
 
 namespace psc {
 
-std::vector<double> duration_bounds() {
-  return Histogram::exponential_bounds(100.0, 2.0, 24);
-}
-
 // --- ClockSkewProbe --------------------------------------------------------
 
 ClockSkewProbe::ClockSkewProbe(
@@ -24,11 +20,7 @@ ClockSkewProbe::ClockSkewProbe(
     std::vector<std::shared_ptr<const ClockTrajectory>> trajs, Duration eps,
     ChromeTraceWriter* trace)
     : trajs_(std::move(trajs)), eps_(eps), trace_(trace) {
-  // Bounds extend past eps so violations land in real buckets, not just
-  // the overflow bucket.
-  const double hi = eps > 0 ? static_cast<double>(eps) * 1.25 : 1.0;
-  abs_hist_ = &reg.histogram("clock.skew_ns",
-                             Histogram::linear_bounds(0.0, hi, 25));
+  abs_hist_ = &reg.histogram("clock.skew_ns");
   violations_ = &reg.counter("clock.skew_violations");
   reg.gauge("clock.eps_ns").set(static_cast<double>(eps));
   node_skew_.reserve(trajs_.size());
@@ -45,7 +37,7 @@ void ClockSkewProbe::sample(int node, Time now, Time clock) {
     node_skew_[static_cast<std::size_t>(node)]->set(
         static_cast<double>(skew));
   }
-  abs_hist_->add(static_cast<double>(abs));
+  abs_hist_->add(abs);
   max_abs_skew_ = std::max(max_abs_skew_, abs);
   if (abs > eps_) violations_->add();
   if (trace_ && node >= 0) {
@@ -74,13 +66,10 @@ void ClockSkewProbe::on_event(const TimedEvent& e, const Machine& /*owner*/) {
 ChannelLatencyProbe::ChannelLatencyProbe(MetricsRegistry& reg, Duration d1,
                                          Duration d2)
     : d1_(d1), d2_(d2) {
-  const double lo = static_cast<double>(d1);
-  const double hi = static_cast<double>(std::max(d2, d1 + 1));
-  latency_ = &reg.histogram("channel.latency_ns",
-                            Histogram::linear_bounds(lo, hi, 20));
+  latency_ = &reg.histogram("channel.latency_ns");
   delivered_ = &reg.counter("channel.delivered");
   violations_ = &reg.counter("channel.latency_violations");
-  reg.gauge("channel.d1_ns").set(lo);
+  reg.gauge("channel.d1_ns").set(static_cast<double>(d1));
   reg.gauge("channel.d2_ns").set(static_cast<double>(d2));
 }
 
@@ -98,7 +87,7 @@ void ChannelLatencyProbe::on_event(const TimedEvent& e,
   const Time sent = r.send_time >= 0 ? r.send_time : r.esend_time;
   if (sent < 0) return;
   const Duration latency = e.time - sent;
-  latency_->add(static_cast<double>(latency));
+  latency_->add(latency);
   delivered_->add();
   if (latency < d1_ || latency > d2_) violations_->add();
 }
@@ -110,7 +99,7 @@ Sim1BufferProbe::Sim1BufferProbe(MetricsRegistry& reg,
     : trace_(trace), reg_(reg) {
   recv_occupancy_ = &reg.gauge("sim1.recv.occupancy");
   send_occupancy_ = &reg.gauge("sim1.send.occupancy");
-  hold_ = &reg.histogram("sim1.recv.hold_ns", duration_bounds());
+  hold_ = &reg.histogram("sim1.recv.hold_ns");
 }
 
 void Sim1BufferProbe::watch(const ReceiveBuffer* rb) { recv_.push_back(rb); }
@@ -149,7 +138,7 @@ void Sim1BufferProbe::on_event(const TimedEvent& e, const Machine& /*owner*/) {
   if (cls != EventClass::kERecv && cls != EventClass::kRecv) return;
   const EventLedger::Record& r = ledger_.match(e, cls);
   if (cls == EventClass::kRecv && r.erecv_time >= 0) {
-    hold_->add(static_cast<double>(e.time - r.erecv_time));
+    hold_->add(e.time - r.erecv_time);
   }
 }
 
@@ -173,8 +162,7 @@ void Sim1BufferProbe::on_run_end(Time /*now*/) {
 // --- MmtProbe --------------------------------------------------------------
 
 MmtProbe::MmtProbe(MetricsRegistry& reg) : reg_(reg) {
-  tick_to_action_ =
-      &reg.histogram("mmt.tick_to_action_ns", duration_bounds());
+  tick_to_action_ = &reg.histogram("mmt.tick_to_action_ns");
   ticks_ = &reg.counter("mmt.ticks");
 }
 
@@ -191,7 +179,7 @@ void MmtProbe::on_event(const TimedEvent& e, const Machine& owner) {
   if (dynamic_cast<const MmtNode*>(&owner) == nullptr) return;
   const std::optional<Time> tick = ledger_.last_tick(e.action.node);
   if (!tick) return;
-  tick_to_action_->add(static_cast<double>(e.time - *tick));
+  tick_to_action_->add(e.time - *tick);
 }
 
 void MmtProbe::on_run_end(Time /*now*/) {

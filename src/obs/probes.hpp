@@ -150,7 +150,4 @@ class SchedulerStatsProbe final : public Probe {
   const Executor& exec_;
 };
 
-// Default duration-histogram bounds: exponential from 100ns to ~1.7s.
-std::vector<double> duration_bounds();
-
 }  // namespace psc

@@ -317,7 +317,7 @@ TEST(LedgerConsumers, FloodTimedModelIsPinned) {
   EXPECT_GE(p.lint_codes, 1u);
   EXPECT_TRUE(p.round_trip_equal);
   EXPECT_EQ(fnv1a(p.diags), "dab0691190db2b4b") << p.diags.substr(0, 400);
-  EXPECT_EQ(fnv1a(p.registry), "1e6df68507a048d4");
+  EXPECT_EQ(fnv1a(p.registry), "55fb2890eba409f5");
   EXPECT_EQ(fnv1a(p.dag), "43f6a46c62789706");
 }
 
@@ -326,7 +326,7 @@ TEST(LedgerConsumers, RegisterSimulation1IsPinned) {
   EXPECT_GE(p.lint_codes, 3u);
   EXPECT_TRUE(p.round_trip_equal);
   EXPECT_EQ(fnv1a(p.diags), "9415fe8c2fc4ac1a") << p.diags.substr(0, 400);
-  EXPECT_EQ(fnv1a(p.registry), "7fd4537547c7d224");
+  EXPECT_EQ(fnv1a(p.registry), "3fc0ce81cc0ea540");
   EXPECT_EQ(fnv1a(p.dag), "37e0bd4f9ce5b304");
 }
 
@@ -335,7 +335,7 @@ TEST(LedgerConsumers, RegisterBothSimulationsIsPinned) {
   EXPECT_GE(p.lint_codes, 4u);
   EXPECT_TRUE(p.round_trip_equal);
   EXPECT_EQ(fnv1a(p.diags), "dc540558a663a760") << p.diags.substr(0, 400);
-  EXPECT_EQ(fnv1a(p.registry), "743861c1d0c4ab4b");
+  EXPECT_EQ(fnv1a(p.registry), "d10621ee3f2ba053");
   EXPECT_EQ(fnv1a(p.dag), "94da888c67c46f60");
 }
 

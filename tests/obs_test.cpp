@@ -4,8 +4,12 @@
 // JSONL line and the whole Chrome trace must parse as JSON).
 #include <gtest/gtest.h>
 
-#include <cctype>
+#include <algorithm>
 #include <array>
+#include <cctype>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -22,6 +26,8 @@
 #include "runtime/script.hpp"
 #include "rw/harness.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace psc {
 namespace {
@@ -163,7 +169,7 @@ TEST(Metrics, KindMismatchIsAnError) {
   MetricsRegistry reg;
   reg.counter("x");
   EXPECT_THROW(reg.gauge("x"), CheckError);
-  EXPECT_THROW(reg.histogram("x", {1.0}), CheckError);
+  EXPECT_THROW(reg.histogram("x"), CheckError);
   EXPECT_EQ(reg.find_gauge("x"), nullptr);
   EXPECT_NE(reg.find_counter("x"), nullptr);
 }
@@ -178,31 +184,154 @@ TEST(Metrics, InterningIsStableAndDense) {
   EXPECT_EQ(reg.size(), 2u);
 }
 
-TEST(Metrics, HistogramBucketsAndPercentiles) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("lat", Histogram::linear_bounds(0, 100, 10));
-  ASSERT_EQ(h.bounds().size(), 11u);
-  ASSERT_EQ(h.buckets().size(), 12u);
-  for (int v = 1; v <= 100; ++v) h.add(v);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_DOUBLE_EQ(h.min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.max(), 100.0);
-  EXPECT_NEAR(h.percentile(50), 50.0, 10.0);
-  EXPECT_NEAR(h.percentile(99), 99.0, 10.0);
-  h.add(1e9);  // overflow bucket
-  EXPECT_EQ(h.buckets().back(), 1u);
+// --- Histogram -------------------------------------------------------------
 
-  const auto exp = Histogram::exponential_bounds(100.0, 2.0, 5);
-  ASSERT_EQ(exp.size(), 5u);
-  EXPECT_DOUBLE_EQ(exp[0], 100.0);
-  EXPECT_DOUBLE_EQ(exp[4], 1600.0);
+TEST(HistogramTest, PercentilesWithinOneSubBucketOfExactSamples) {
+  // 10,001 samples: p * (n - 1) / 100 is a whole rank for every p below, so
+  // the exact percentile is itself a sample, and the histogram's walk lands
+  // on that same sample's bucket.
+  constexpr int kN = 10'001;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    Histogram h;
+    Samples exact;
+    for (int k = 0; k < kN; ++k) {
+      // Log-uniform magnitude below 2^63, either sign.
+      const int bits = static_cast<int>(rng.index(64));
+      const auto mag =
+          static_cast<std::int64_t>((rng.next() >> 1) >> (63 - bits));
+      const std::int64_t v = rng.flip(0.5) ? -mag : mag;
+      h.add(v);
+      exact.add(static_cast<double>(v));
+    }
+    ASSERT_EQ(h.count(), static_cast<std::uint64_t>(kN));
+    const auto lo = static_cast<double>(h.min());
+    const auto hi = static_cast<double>(h.max());
+    for (const double p : {0.0, 1.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+      const double e = h.percentile(p);
+      const double x = exact.percentile(p);
+      // The estimate is its bucket's upper edge: at or above the sample,
+      // by less than one sub-bucket (2^-5 of |x|). 1e-9 absorbs the
+      // int64 -> double rounding of values near 2^63.
+      const double tol = 1e-9 * std::abs(x);
+      EXPECT_GE(e, x - tol) << "seed " << seed << " p" << p;
+      EXPECT_LE(e - x, std::abs(x) / 32 + tol)
+          << "seed " << seed << " p" << p;
+      EXPECT_GE(e, lo) << "seed " << seed << " p" << p;
+      EXPECT_LE(e, hi) << "seed " << seed << " p" << p;
+    }
+  }
+}
+
+TEST(HistogramTest, IndexIsMonotoneAcrossTheSignedRange) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::size_t kBank = Histogram::kBank;
+  // Exact region: |v| below 64 has a bucket of its own.
+  for (std::int64_t v = -64; v < 64; ++v) {
+    EXPECT_EQ(Histogram::bucket_max(Histogram::index(v)), v) << v;
+  }
+  EXPECT_EQ(Histogram::index(0), kBank);
+  EXPECT_EQ(Histogram::index(1), kBank + 1);
+  EXPECT_EQ(Histogram::index(-1), kBank - 1);
+  EXPECT_EQ(Histogram::index(31), kBank + 31);
+  EXPECT_EQ(Histogram::index(32), kBank + 32);
+  EXPECT_EQ(Histogram::index(-31), kBank - 31);
+  EXPECT_EQ(Histogram::index(-32), kBank - 32);
+  EXPECT_EQ(Histogram::index(kMax), Histogram::kBuckets - 1);
+  EXPECT_EQ(Histogram::bucket_max(Histogram::kBuckets - 1), kMax);
+  EXPECT_EQ(Histogram::index(kMin), 0u);
+
+  // Walk the whole range in ~3% steps on both sides of zero: the index
+  // never decreases, and each value sits in (previous edge, its edge].
+  std::vector<std::int64_t> values = {kMin, kMax};
+  for (std::int64_t m = 1; m < kMax / 2; m += m / 32 + 1) {
+    values.push_back(m);
+    values.push_back(-m);
+  }
+  std::sort(values.begin(), values.end());
+  std::size_t prev = 0;
+  for (const std::int64_t v : values) {
+    const std::size_t i = Histogram::index(v);
+    ASSERT_LT(i, Histogram::kBuckets) << v;
+    EXPECT_GE(i, prev) << "index not monotone at " << v;
+    EXPECT_GE(Histogram::bucket_max(i), v) << v;
+    if (i > 0) {
+      EXPECT_LT(Histogram::bucket_max(i - 1), v) << v;
+    }
+    prev = i;
+  }
+
+  Histogram h;
+  h.add(kMin);
+  h.add(kMax);
+  EXPECT_EQ(h.min(), kMin);
+  EXPECT_EQ(h.max(), kMax);
+  // p0 is the lowest occupied bucket's edge; p100 clamps to the max.
+  EXPECT_EQ(h.percentile(0), static_cast<double>(Histogram::bucket_max(0)));
+  EXPECT_EQ(h.percentile(100), static_cast<double>(kMax));
+}
+
+TEST(HistogramTest, EmptyPercentilesAreNaN) {
+  const Histogram h;
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_TRUE(std::isnan(h.p50()));
+  EXPECT_TRUE(std::isnan(h.percentile(0)));
+  EXPECT_TRUE(std::isnan(h.p999()));
+}
+
+// The number list of `"key":[...]` in a JSONL line.
+std::vector<std::int64_t> json_int_array(const std::string& line,
+                                         const std::string& key) {
+  const std::size_t at = line.find("\"" + key + "\":[");
+  EXPECT_NE(at, std::string::npos) << key;
+  if (at == std::string::npos) return {};
+  std::istringstream is(line.substr(at + key.size() + 4));
+  std::vector<std::int64_t> out;
+  std::int64_t v;
+  while (is.peek() != ']' && is >> v) {
+    out.push_back(v);
+    if (is.peek() == ',') is.get();
+  }
+  return out;
+}
+
+TEST(HistogramTest, JsonlListsNonemptyBucketsWithTheirEdges) {
+  MetricsRegistry reg;
+  Histogram& h = reg.histogram("slack");
+  for (const std::int64_t v :
+       {-5'000'000, -40, -40, 0, 7, 7, 7, 1000, 123'456'789}) {
+    h.add(v);
+  }
+  std::ostringstream os;
+  reg.write_jsonl(os);
+  const std::string line = os.str();
+  expect_valid_json(line.substr(0, line.size() - 1));
+  const auto bounds = json_int_array(line, "bounds");
+  const auto buckets = json_int_array(line, "buckets");
+  ASSERT_EQ(bounds.size(), buckets.size());
+  EXPECT_EQ(bounds.size(), 6u);
+  std::int64_t total = 0;
+  for (std::size_t k = 0; k < bounds.size(); ++k) {
+    total += buckets[k];
+    EXPECT_GT(buckets[k], 0);
+    EXPECT_EQ(bounds[k], Histogram::bucket_max(Histogram::index(bounds[k])));
+    if (k > 0) {
+      EXPECT_LT(bounds[k - 1], bounds[k]);
+    }
+  }
+  EXPECT_EQ(total, static_cast<std::int64_t>(h.count()));
+  EXPECT_EQ(bounds.front(),
+            Histogram::bucket_max(Histogram::index(-5'000'000)));
+  EXPECT_EQ(bounds.back(),
+            Histogram::bucket_max(Histogram::index(123'456'789)));
 }
 
 TEST(Metrics, JsonlLinesAreValidJson) {
   MetricsRegistry reg;
   reg.counter("a.count").add(7);
   reg.gauge("b.gauge \"quoted\"").set(1.5);
-  reg.histogram("c.hist", Histogram::linear_bounds(0, 10, 2)).add(3.0);
+  reg.histogram("c.hist").add(3);
   std::ostringstream os;
   reg.write_jsonl(os);
   const std::string text = os.str();

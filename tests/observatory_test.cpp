@@ -32,7 +32,7 @@ TEST(TimeSeries, SamplesEveryRegisteredMetricKind) {
   MetricsRegistry reg;
   Counter& c = reg.counter("events");
   Gauge& g = reg.gauge("depth");
-  Histogram& h = reg.histogram("lat", Histogram::linear_bounds(0, 100, 10));
+  Histogram& h = reg.histogram("lat");
 
   TimeSeries ts(reg);
   c.add(3);
@@ -93,7 +93,7 @@ TEST(TimeSeries, RingKeepsLastWindowSamplesOldestFirst) {
 TEST(TimeSeries, JsonlRendersPointsAndNullForNonFinite) {
   MetricsRegistry reg;
   reg.counter("n").add(7);
-  reg.histogram("lat", Histogram::linear_bounds(0, 100, 4));  // stays empty
+  reg.histogram("lat");  // stays empty
   TimeSeries ts(reg, {.cadence = microseconds(5), .window = 8});
   ts.sample(microseconds(5));
 

@@ -12,8 +12,8 @@
 //     --normalize    remap message uids to first-occurrence order (1,2,...)
 //                    so decoded windows diff cleanly across runs
 //     --stats        print a snapshot summary (records, drops, kinds,
-//                    histogram state) to stderr and skip the trace output
-//                    unless --out was given explicitly
+//                    strings, the seq/time window) to stderr and skip the
+//                    trace output unless --out was given explicitly
 #include <cstring>
 #include <fstream>
 #include <iostream>
